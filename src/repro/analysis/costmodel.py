@@ -59,7 +59,7 @@ are excluded entirely, like the coherence rule excludes
 definitionally not the production path.
 
 Everything here is a pure function of the analyzed source text: same
-trees in, same report out -- on any backend, with or without numpy.
+trees in, same report out.
 """
 
 from __future__ import annotations
@@ -141,8 +141,6 @@ _COST_AXIOMS: Dict[str, str] = {
     "RBTree.items": "tasks",
     "RBTree.keys": "tasks",
     "VecState._fold_entry": "cpus",
-    "_NumpyOps.fold_group": "cpus",
-    "_PythonOps.fold_group": "cpus",
 }
 
 #: C-level heap primitives (unresolvable through the callgraph).
@@ -177,9 +175,6 @@ _ITER_DOMAIN_FIELDS: Dict[Tuple[str, str], str] = {
     ("EventLoop", "_heap"): "heap",
     ("VecState", "_dirty_list"): "cpus",
     ("VecState", "_desig_by_cpu"): "cpus",
-    ("BalancePass", "_loads"): "cpus",
-    ("BalancePass", "_nrs"): "cpus",
-    ("BalancePass", "_muts"): "cpus",
     ("_DomainCache", "entries"): "groups",
     ("_DomainCache", "examined"): "cpus",
 }

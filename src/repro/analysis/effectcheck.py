@@ -16,8 +16,8 @@ This module is the dynamic cross-check.  An :class:`EffectCheckSession`
   the ``def`` line and any decorator lines, matching how CPython stamps
   ``co_firstlineno`` across versions;
 * patches ``__setattr__`` on the scheduler-state classes
-  (:data:`CHECKED_CLASSES`: ``RunQueue``, ``Cpu``, ``CGroup``, ``Task``,
-  ``BalancePass``) so every attribute write is attributed to the Python
+  (:data:`CHECKED_CLASSES`: ``RunQueue``, ``Cpu``, ``CGroup``, ``Task``)
+  so every attribute write is attributed to the Python
   function executing it via the caller's frame.
 
 A write whose executing function is in the static index but whose
@@ -48,13 +48,12 @@ from repro.analysis.effects import EffectEngine
 
 #: ``(module, class)`` pairs whose attribute writes are intercepted.
 #: These are the scheduler-state objects the fast-path closure reads and
-#: the balance pass mutates -- the state the vectorized rewrite batches.
+#: the balancer mutates.
 CHECKED_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("repro.sched.runqueue", "RunQueue"),
     ("repro.sched.cpu", "Cpu"),
     ("repro.sched.cgroup", "CGroup"),
     ("repro.sched.task", "Task"),
-    ("repro.sched.balance", "BalancePass"),
 )
 
 

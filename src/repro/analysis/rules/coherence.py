@@ -22,7 +22,7 @@ Two passes over the project symbol table / call graph:
 
 ``coherence-unguarded-dependency`` (severity: error)
     The transitive read closure of each cached accessor (the runqueue
-    load memo, the balance-pass group-stats fold, the designated-
+    load memo, the group-stats fold, the designated-
     balancer election) must stay inside :data:`CONTRACT`: if an accessor
     grows a dependency on a contract-class field no counter guards, the
     contract itself has drifted.  Fields only ever written during

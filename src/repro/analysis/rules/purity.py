@@ -11,8 +11,8 @@ list of what it may touch.
     Every function reachable (via calls and property accesses) from the
     :data:`~repro.analysis.effects.HOT_ROOTS` -- the accessors
     ``SchedFeatures.with_fastpath`` memoizes: the runqueue load memo,
-    the balance-pass sample/fold/election memos, the event-loop pending
-    counter -- must classify as
+    the balance mirror's sync/fold/election memos, the event-loop
+    pending counter -- must classify as
 
     * **pure** (reads only), or
     * **bounded** (writes confined to the receiver's own state: memo
@@ -32,7 +32,7 @@ list of what it may touch.
 The same classification feeds :func:`repro.analysis.effects.`
 ``vectorization_report`` -- the machine-readable JSON artifact
 (``repro lint --effects-report``) naming exactly which functions the
-numpy/batched rewrite may transform (``safe``) and which it must not
+batched rewrite may transform (``safe``) and which it must not
 touch (``unsafe``, with per-line reasons).  After :meth:`finalize` the
 rule instance exposes that report as :attr:`report`, which the runner
 writes to disk; the findings themselves travel in the normal SARIF

@@ -23,7 +23,7 @@
                          [--effects-report FILE] [--cost-report FILE]
                          [--write-cost-baseline] [--profile-weights FILE]
     python -m repro bench [--quick] [--compare] [--only NAME] [-j N]
-                          [--variant baseline|fast|vec|vec-fallback]
+                          [--variant baseline|fast]
                           [--out BENCH_sim.json] [--check-digests [FILE]]
                           [--profile] [--cost-baseline FILE]
                           [--trend [FILE]]
@@ -144,15 +144,8 @@ def _cmd_demo(args) -> int:
     if args.alloc_check:
         from repro.analysis.alloctrack import AllocCheckSession
 
-        # The demos run the scalar mainline by default; the allocation
-        # declarations cover the vectorized mirror's roots too, so the
-        # checked run enables it (digest-identical to the scalar run by
-        # the bench cross-variant gate).
-        prev = transform
-        if prev is None:
-            transform = lambda f: f.with_vectorized()  # noqa: E731
-        else:
-            transform = lambda f: prev(f).with_vectorized()  # noqa: E731
+        # The default fast path runs the balance mirror, so the demos
+        # already exercise every declared root.
         alloc_session = AllocCheckSession()
 
     effect_session = None
@@ -749,16 +742,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-digests", nargs="?", const=True, default=None,
         metavar="FILE",
-        help="recompute every benchmark's schedule digest in all four "
-        "variants (baseline, fast, vec, vec-fallback) and require them "
-        "identical; with FILE, additionally compare against the most "
+        help="recompute every benchmark's schedule digest in both "
+        "variants (baseline, fast) and require them identical; with FILE, additionally compare against the most "
         "recent run stored there; exit 1 on any mismatch",
     )
     p.add_argument(
-        "--variant", default="vec",
-        choices=("baseline", "fast", "vec", "vec-fallback"),
+        "--variant", default="fast",
+        choices=("baseline", "fast"),
         help="the variant the primary wall-clock measurement runs "
-        "(default: vec, the array-backed vectorized core)",
+        "(default: fast, the path every command ships with)",
     )
     p.add_argument(
         "--profile", action="store_true",
@@ -887,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--alloc-check", action="store_true",
-        help="run with the allocation tracker on (vectorized features): "
+        help="run with the allocation tracker on: "
         "observed allocations inside hot-root frames are cross-checked "
         "against each root's declared class in repro.sched.allocdecl; "
         "any allocation in a declared alloc-free root raises",

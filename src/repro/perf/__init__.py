@@ -1,15 +1,13 @@
 """Performance harness: deterministic macro-benchmarks of the simulator.
 
-The fast paths this package measures (``repro bench``) are the incremental
-load tracking, single-pass balance statistics, and event-loop compaction
-behind :meth:`repro.sched.features.SchedFeatures.with_fastpath`.  Each
-benchmark runs the same seeded scenario in one of four variants --
-*baseline* (all fast paths off, reproducing the historical
-implementations), *fast* (the per-pass fast paths), *vec* (the
-array-backed vectorized core, numpy backend when importable), and
-*vec-fallback* (the vectorized core on the pure-Python backend) -- and a
-short traced run digests the schedule so every variant can be proven
-byte-identical (``repro bench --check-digests``).
+The fast path this package measures (``repro bench``) is the memoized
+runqueue loads, the struct-of-arrays balance mirror, and event-loop
+compaction behind :meth:`repro.sched.features.SchedFeatures.with_fastpath`.
+Each benchmark runs the same seeded scenario in one of two variants --
+*baseline* (fast path off, reproducing the historical implementations)
+and *fast* (the default every command ships with) -- and a short traced
+run digests the schedule so both variants can be proven byte-identical
+(``repro bench --check-digests``).
 
 Results append to a ``BENCH_*.json`` trajectory file, so the measured
 speedups (and the determinism digests) are tracked over the repository's

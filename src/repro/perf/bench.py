@@ -12,14 +12,15 @@ Three workloads cover the simulator's hot paths from different angles:
 
 Every benchmark is seeded and runs a fixed simulated horizon, so all
 measurement variants execute the *same schedule*; only wall-clock
-differs.  Four variants are registered (:data:`VARIANTS`): the
-historical ``baseline``, the PR 3 per-pass ``fast`` layer, and the
-array-backed vectorized core in its ``vec`` (numpy when importable) and
-``vec-fallback`` (pure-Python backend, forced) forms.  A short traced
-companion run produces a SHA-256 digest of the schedule (integer/string
-event fields only, so the digest is stable across float formatting
-differences) which must be identical across every variant
-(``repro bench --check-digests``).
+differs.  Two variants are registered (:data:`VARIANTS`): the
+historical ``baseline`` reference and the ``fast`` path every command
+ships with (memoized runqueues plus the struct-of-arrays balance
+mirror).  A short traced companion run produces a SHA-256 digest of the
+schedule (integer/string event fields only, so the digest is stable
+across float formatting differences) which must be identical across
+both variants (``repro bench --check-digests``).  Trajectory rows
+recorded under the retired ``vec`` and ``vec-fallback`` variants still
+load and render in ``--trend``.
 
 A second, instrumented companion run folds each benchmark's
 representative scenario into SLO fields (wakeup-latency p50/p95/p99 and
@@ -128,15 +129,9 @@ class BenchResult:
 
 
 #: Feature transforms of the measured variants, in trajectory order.
-#: ``vec`` resolves its backend at import time (numpy when importable
-#: and not disabled via ``REPRO_NO_NUMPY``); ``vec-fallback`` forces the
-#: pure-Python backend so both kernels are digest-checked in one
-#: process.
 VARIANTS: Dict[str, Callable[[SchedFeatures], SchedFeatures]] = {
     "baseline": lambda f: f.with_fastpath(False),
     "fast": lambda f: f.with_fastpath(True),
-    "vec": lambda f: f.with_vectorized(True),
-    "vec-fallback": lambda f: f.with_vectorized(True, backend="python"),
 }
 
 
@@ -342,7 +337,7 @@ def _slo_bug(bug: str, duration_us: int) -> Dict[str, object]:
 
 
 def _slo_soak64() -> Dict[str, object]:
-    system = _build_soak64("vec")
+    system = _build_soak64("fast")
     obs = ObsSession.attach_to(
         system, trace=False, registry=TracepointRegistry()
     )
@@ -474,16 +469,16 @@ def run_benchmark(
     quick: bool = False,
     compare: bool = False,
     jobs: int = 1,
-    variant: str = "vec",
+    variant: str = "fast",
     check_digests: bool = False,
 ) -> BenchResult:
     """Run one benchmark in ``variant`` mode (the ``fast`` metrics slot).
 
     With ``compare`` the baseline mode is also measured and its digest
     checked against the primary variant's.  With ``check_digests`` the
-    digest is recomputed for *every* registered variant (baseline, fast,
-    vec, vec-fallback) and ``digest_match`` asserts they are all equal
-    -- the determinism contract of the optimization layers.
+    digest is recomputed for *every* registered variant (baseline and
+    fast) and ``digest_match`` asserts they are all equal -- the
+    determinism contract of the fast path.
     """
     spec = BENCHMARKS[name]
     _variant_transform(variant)  # reject unknown variants before running
@@ -591,7 +586,7 @@ def harvest_profile_weights(stats: object) -> Dict[str, float]:
 
     ``stats`` is a ``pstats.Stats``; entries whose file lives under the
     ``repro`` package are mapped to dotted qualnames via an AST line
-    index, everything else (stdlib, numpy internals) is dropped.
+    index, everything else (stdlib internals) is dropped.
     Duplicate code objects on one line (reloads) sum.
     """
     raw = getattr(stats, "stats", {})
@@ -616,7 +611,7 @@ def profile_benchmark(
     name: str,
     quick: bool = False,
     jobs: int = 1,
-    variant: str = "vec",
+    variant: str = "fast",
     top: int = 20,
 ) -> BenchProfile:
     """One benchmark run under cProfile.

@@ -18,19 +18,19 @@ on the ``alloc-free`` < ``amortized`` < ``allocating`` lattice (see
     staleness, so every observed call allocates by design).
 ``allocating``
     Per-call allocation is part of the contract (fold scratch state,
-    backend array temporaries).  Listed so a future PR that tightens
+    result lists).  Listed so a future PR that tightens
     one of these shows up as an improvement in the committed baseline
     rather than silent drift.
 
-The static analyzer may infer a *weaker* class than declared for a few
-documented roots (see ``CONSERVATIVE``): declarations are allowed to be
-conservative, never optimistic.  A root whose declaration is *stronger*
-than the inference is a ``hot-path-alloc`` error.
+Declarations are allowed to be conservative, never optimistic: a root
+whose declaration is *stronger* than the inference is a
+``hot-path-alloc`` error.  Every shipped declaration currently matches
+its inference exactly (pinned by ``tests/test_costmodel.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import Dict
 
 #: label -> declared allocation class, one entry per hot root.
 DECLARED_ALLOC: Dict[str, str] = {
@@ -39,12 +39,6 @@ DECLARED_ALLOC: Dict[str, str] = {
     "runqueue-load": "amortized",
     # Incremental total-weight mirror, same shape as load.
     "runqueue-total-weight": "amortized",
-    # Per-pass per-cpu (load, nr) sample memo.
-    "balance-cpu-sample": "amortized",
-    # Per-pass per-group stats memo keyed by epoch signature.
-    "balance-group-stats": "amortized",
-    # Designated-cpu election memo over group stats.
-    "balance-designated": "amortized",
     # The scalar fold materializes a fresh GroupStats each miss; it is
     # only ever invoked *from* the memoized paths above.
     "group-stats-fold": "allocating",
@@ -66,43 +60,8 @@ DECLARED_ALLOC: Dict[str, str] = {
     "vec-find-busiest": "amortized",
     # Designated memo over the columnar mirror.
     "vec-designated": "amortized",
-    # Backend kernels: array temporaries are per-call by design -- and
-    # invisible to the AST scan (numpy allocates in C), so these two
-    # are pinned conservatively rather than inferred.
-    "vec-kernel-numpy": "allocating",
-    "vec-kernel-python": "allocating",
-    # Batched tick body: both backends return fresh (new_vr, preempt)
-    # rows per call -- the cohort's scratch is the contract.
-    "vec-tick-kernel-numpy": "allocating",
-    "vec-tick-kernel-python": "allocating",
-    # Pick-index argmin: the numpy twin stages the columns as array
-    # temporaries (in C, below the AST scan); the python twin is a pure
-    # in-place scan -- the strongest tier, runtime-gated.
-    "vec-pick-argmin-numpy": "allocating",
-    "vec-pick-argmin-python": "alloc-free",
-    # PickIndex.peek: the cached-min probe is the steady state; a probe
-    # miss rescans, and at machine width the rescan goes through the
-    # backend argmin whose temporaries are below AST visibility.
-    "vec-pick-index": "amortized",
     # Whole-walk balance gate: two field reads.
     "vec-balance-gate": "alloc-free",
-    # The due-CPU reduction materializes the ascending id list per call
-    # -- through the union-typed backend attribute, so the sites are
-    # invisible to the scan and the tier is pinned, not inferred.
+    # The due-CPU scan materializes the ascending id list per call.
     "vec-balance-due": "allocating",
 }
-
-#: Roots whose declaration is deliberately *weaker* than what the AST
-#: scan can prove, because the real allocations happen below Python
-#: syntax (numpy array temporaries register with tracemalloc but are
-#: not source-level sites; the python kernel's tuple churn depends on
-#: freelist state).  The baseline drift test allows declared >= inferred
-#: only for these.
-CONSERVATIVE: FrozenSet[str] = frozenset({
-    "vec-kernel-numpy",
-    "vec-kernel-python",
-    "vec-tick-kernel-numpy",
-    "vec-pick-argmin-numpy",
-    "vec-pick-index",
-    "vec-balance-due",
-})

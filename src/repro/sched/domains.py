@@ -202,7 +202,7 @@ class DomainBuilder:
         self.generation += 1
         # Equal groups are interned to one shared object per rebuild:
         # every CPU of a node sees the *same* group instances, so
-        # per-object caches (sorted tuples, balance-pass memos) are shared
+        # per-object caches (sorted tuples, balance-mirror memos) are shared
         # across perspectives instead of recomputed 64 times.  A rebuild
         # starts from an empty pool, which is exactly the hotplug
         # invalidation the cached tuples rely on.

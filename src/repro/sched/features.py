@@ -33,6 +33,11 @@ class SchedFeatures:
       idle, else on the longest-idle core in the system (Section 3.3).
     * ``fix_missing_domains`` -- regenerate cross-NUMA scheduling domains
       after CPU hotplug (Section 3.4).
+
+    Execution is one boolean: ``fastpath`` (default on) runs the
+    memoized runqueues and the struct-of-arrays balance mirror;
+    :meth:`with_fastpath` ``(False)`` selects the from-scratch reference
+    path.  Both produce the same schedule, only the speed differs.
     """
 
     fix_group_imbalance: bool = False
@@ -79,28 +84,24 @@ class SchedFeatures:
     #: Each domain level doubles the balance interval of the previous one.
     balance_interval_growth: int = 2
 
-    #: Simulator fast-path switches.  These change *how fast* the
-    #: simulation runs, never *what* it computes: every seeded trace is
-    #: byte-identical with them on or off (pinned by regression test), and
-    #: ``repro bench --compare`` quantifies the speedup by toggling them.
-    #: Memoize each runqueue's load summation per (timestamp, dirty epoch).
-    perf_load_cache: bool = True
-    #: Share per-CPU (load, nr_running) stats across one rebalance pass.
-    perf_balance_stats: bool = True
-    #: Compact the event heap when cancelled entries dominate.
-    perf_event_compaction: bool = True
-    #: Vectorized array-backed core: a persistent struct-of-arrays mirror
-    #: of per-CPU state (repro.sched.vecstate) serves balance sampling,
-    #: folding, and busiest-group selection in bulk, and the event loop
-    #: drains same-timestamp batches through one dispatch pass.  Builds
-    #: on the fast paths (it replaces the per-pass BalancePass), so it is
-    #: only honored when ``perf_load_cache``/``perf_balance_stats`` are
-    #: also on -- use :meth:`with_vectorized`.
-    perf_vectorized: bool = False
-    #: Array backend for the vectorized core: ``"auto"`` picks numpy when
-    #: importable, else the pure-Python fallback; ``"numpy"``/``"python"``
-    #: force one (the bench digest cross-check runs both in-process).
-    vec_backend: str = "auto"
+    #: The simulator fast path.  It changes *how fast* the simulation
+    #: runs, never *what* it computes: every seeded schedule is
+    #: byte-identical with it on or off (the ``repro bench
+    #: --check-digests`` gate and the determinism tests hold it to
+    #: that).  On, it gives:
+    #:
+    #: * per-runqueue load memos and incremental ``nr_running`` /
+    #:   ``total_weight`` counters;
+    #: * the persistent struct-of-arrays balance mirror
+    #:   (:mod:`repro.sched.vecstate`): group folds, busiest-group
+    #:   selection, designated-balancer elections and the periodic
+    #:   balance gate, all memoized across ticks;
+    #: * event-heap compaction when cancelled entries dominate.
+    #:
+    #: Off (``with_fastpath(False)``) is the small reference path that
+    #: recomputes everything from scratch; ``repro bench`` calls it
+    #: ``baseline`` and compares every digest against it.
+    fastpath: bool = True
 
     #: Coherence sanitizer: every fast-path memo *hit* recomputes the
     #: value from scratch and raises
@@ -141,43 +142,19 @@ class SchedFeatures:
         return replace(self, load_metric="v43")
 
     def with_fastpath(self, enabled: bool = True) -> "SchedFeatures":
-        """A copy with every simulator fast-path toggled together.
+        """A copy with the simulator fast path toggled.
 
         ``with_fastpath(False)`` is the bench harness's baseline mode: the
-        simulation recomputes everything from scratch, as the pre-fast-path
-        code did.
+        simulation recomputes everything from scratch, the reference the
+        fast path must match digest for digest.
         """
-        return replace(
-            self,
-            perf_load_cache=enabled,
-            perf_balance_stats=enabled,
-            perf_event_compaction=enabled,
-        )
-
-    def with_vectorized(
-        self, enabled: bool = True, backend: str = "auto"
-    ) -> "SchedFeatures":
-        """A copy with the vectorized array-backed core toggled.
-
-        The vectorized layer subsumes the per-pass fast paths, so
-        enabling it also enables them; disabling leaves the ordinary
-        fast paths as they were.  ``backend`` selects the array kernels
-        (``"auto"``/``"numpy"``/``"python"``) -- every choice is
-        digest-identical, only the throughput differs.
-        """
-        if enabled:
-            return replace(
-                self.with_fastpath(True),
-                perf_vectorized=True,
-                vec_backend=backend,
-            )
-        return replace(self, perf_vectorized=False)
+        return replace(self, fastpath=enabled)
 
     def with_sanitizer(self, enabled: bool = True) -> "SchedFeatures":
         """A copy with the coherence sanitizer toggled.
 
-        Sanitizing only makes sense with the fast paths on (it checks
-        their memo hits), so enabling it also enables them.
+        Sanitizing only makes sense with the fast path on (it checks
+        its memo hits), so enabling it also enables the fast path.
         """
         if enabled:
             return replace(

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.sched.load import LoadEpoch
 from repro.sched.rbtree import RBTree
-from repro.sched.sanitizer import CoherenceError, verify_rq_load
+from repro.sched.sanitizer import verify_rq_load
 from repro.sched.task import Task, TaskState
 from repro.sched.timebase import SCHED_LATENCY_US
 
@@ -53,11 +53,12 @@ class RunQueue:
         self.curr: Optional[Task] = None
         #: Monotonic floor for newcomers' vruntime.
         self.min_vruntime = 0
-        #: Shared dirty counter; every mutation bumps it (invalidating the
-        #: balance-pass memos of *all* queues sharing it, conservatively).
+        #: Shared dirty counter; every mutation bumps it (machine-wide, so
+        #: it says only "something changed somewhere").
         self.load_epoch = load_epoch if load_epoch is not None else LoadEpoch()
         #: Shared counter bumped only on idle<->busy transitions (and
-        #: hotplug); the designated-balancer memo keys off it.
+        #: hotplug); the mirror's own per-CPU invalidation sits beside
+        #: each bump.
         self.idle_epoch = idle_epoch if idle_epoch is not None else LoadEpoch()
         #: Shared counter bumped when any cgroup divisor changes (an attach
         #: or detach re-weights member loads without any runqueue event).
@@ -71,19 +72,12 @@ class RunQueue:
         #: This queue's own mutation counter: unlike ``load_epoch`` it is
         #: private, so one CPU's churn does not dirty its siblings' caches.
         self.mutations = 0
-        #: Optional vectorized mirror (repro.sched.vecstate.VecState) set
-        #: by the scheduler; every mutation that bumps ``mutations`` also
+        #: Balance mirror (repro.sched.vecstate.VecState) set by the
+        #: scheduler on the fast path; every mutation that bumps ``mutations`` also
         #: marks this queue's mirror slot dirty.  ``requeue``/``put_prev``
         #: deliberately bump neither (the task *set* is unchanged), so the
         #: mirror's coherence contract is exactly the memo contract.
         self.vec = None
-        #: Optional array-backed pick index
-        #: (repro.sched.pickindex.PickIndex), set by the scheduler under
-        #: the same vectorized gate as ``vec``.  Mirrored at exactly the
-        #: tree's own mutation sites, so its coherence contract is the
-        #: tree's; the rbtree stays authoritative for ordered iteration
-        #: and the sanitizer cross-check.
-        self.pidx = None
         #: Memo of the last load(now) summation, keyed by
         #: (now, own mutations, divisor epoch).
         self._cached_load_now = -1
@@ -94,7 +88,7 @@ class RunQueue:
         #: exactly converged to its state's target (see LoadTracker's
         #: convergence shortcut): the summation is then a constant of
         #: time until the task set or some member's running state
-        #: changes, and the vectorized mirror may carry the sample
+        #: changes, and the balance mirror may carry the sample
         #: across timestamps.  Cleared by the two non-bumping mutators
         #: (``put_prev``/``requeue``) whose state flips are invisible to
         #: the memo key; every bumping mutator forces a recompute (and
@@ -148,8 +142,6 @@ class RunQueue:
         task.cpu = self.cpu_id
         task.stats.last_enqueue_us = now
         self._tree.insert((task.vruntime, task.tid), task)
-        if self.pidx is not None:
-            self.pidx.insert(task.vruntime, task.tid, task)
         self._nr_running += 1
         self._total_weight += task.weight
         self.mutations += 1
@@ -165,8 +157,6 @@ class RunQueue:
     def dequeue(self, task: Task, now: int) -> None:
         """Remove a queued (not running) task from the tree."""
         self._tree.remove((task.vruntime, task.tid))
-        if self.pidx is not None:
-            self.pidx.remove(task.tid)
         self._nr_running -= 1
         self._total_weight -= task.weight
         self.mutations += 1
@@ -194,9 +184,6 @@ class RunQueue:
         self._tree.remove((task.vruntime, task.tid))  # repro: noqa[coherence-unbumped-write]
         task.vruntime = new_vruntime
         self._tree.insert((task.vruntime, task.tid), task)  # repro: noqa[coherence-unbumped-write]
-        if self.pidx is not None:
-            self.pidx.remove(task.tid)
-            self.pidx.insert(task.vruntime, task.tid, task)
         # Not a load-affecting change, but the invariance flag is keyed
         # to the summation the memo last saw; drop it conservatively.
         self._cached_load_invariant = False
@@ -233,8 +220,6 @@ class RunQueue:
         task.state = TaskState.RUNNABLE
         task.stats.last_enqueue_us = now
         self._tree.insert((task.vruntime, task.tid), task)
-        if self.pidx is not None:
-            self.pidx.insert(task.vruntime, task.tid, task)
         # The task set (and therefore load, nr_running, idleness) is
         # unchanged -- curr merely moved into the tree -- so no epoch or
         # mutation bump: every cached aggregate stays exactly valid.
@@ -249,30 +234,15 @@ class RunQueue:
     def pick_next(self) -> Optional[Task]:
         """The leftmost (least-vruntime) waiting task, without removing it.
 
-        With the pick index attached this is a cached-min probe instead
-        of a tree descent; the index orders by the tree's own composite
-        ``(vruntime, tid)`` key, so the two agree task-for-task (and the
-        sanitizer holds them to it on every probe).
+        Ties on vruntime break by tid: the tree key is the composite
+        ``(vruntime, tid)``.
         """
-        pidx = self.pidx
-        if pidx is not None:
-            task = pidx.peek()
-            if self._sanitize:
-                pair = self._tree.leftmost()
-                ref = None if pair is None else pair[1]
-                if ref is not task:
-                    raise CoherenceError(
-                        "pick-index", "leftmost", task, ref
-                    )
-            return task
         pair = self._tree.leftmost()
         return None if pair is None else pair[1]
 
     def take(self, task: Task, now: int) -> Task:
         """Remove a specific waiting task (for migration or dispatch)."""
         self._tree.remove((task.vruntime, task.tid))
-        if self.pidx is not None:
-            self.pidx.remove(task.tid)
         self._nr_running -= 1
         self._total_weight -= task.weight
         self.mutations += 1
@@ -287,12 +257,6 @@ class RunQueue:
         return task
 
     def leftmost_vruntime(self) -> Optional[int]:
-        # A queued task's vruntime equals its tree key (it only changes
-        # while running), so the pick index's task is key-exact too.
-        pidx = self.pidx
-        if pidx is not None:
-            task = pidx.peek()
-            return None if task is None else task.vruntime
         pair = self._tree.leftmost()
         return None if pair is None else pair[0][0]
 
@@ -302,16 +266,10 @@ class RunQueue:
         Equivalent to ``max(min_vruntime, min(candidates))`` over the
         running task's vruntime and the tree's leftmost key, written
         branch-by-branch because this runs on every accounting point.
-        The pick index, when attached, supplies the leftmost in O(1).
         """
         curr = self.curr
-        pidx = self.pidx
-        if pidx is not None:
-            left = pidx.peek()
-            leftmost_vr = None if left is None else left.vruntime
-        else:
-            pair = self._tree.leftmost()
-            leftmost_vr = None if pair is None else pair[0][0]
+        pair = self._tree.leftmost()
+        leftmost_vr = None if pair is None else pair[0][0]
         if curr is not None:
             floor = curr.vruntime
             if leftmost_vr is not None and leftmost_vr < floor:

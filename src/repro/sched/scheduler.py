@@ -28,7 +28,6 @@ from repro.sched.cpu import Cpu
 from repro.sched.domains import DomainBuilder
 from repro.sched.features import SchedFeatures
 from repro.sched.load import LoadEpoch
-from repro.sched.pickindex import PickIndex
 from repro.sched.task import Task, TaskState
 from repro.sched.vecstate import VecState
 from repro.topology.machine import MachineTopology
@@ -52,13 +51,13 @@ class Scheduler:
             autogroup_enabled=self.features.autogroup_enabled,
             metric=self.features.load_metric,
         )
-        #: Machine-wide dirty counter for cached runqueue loads; shared by
-        #: every runqueue and the cgroup manager (divisor changes dirty
-        #: member loads without any runqueue event).
+        #: Machine-wide dirty counter bumped by every load-affecting
+        #: mutation; shared by every runqueue and the cgroup manager.
+        #: Only introspection (``VecState.snapshot``) reads it.
         self.load_epoch = LoadEpoch()
-        #: Bumped only on idle<->busy transitions (and hotplug): the
-        #: designated-balancer election reads nothing else, so its memo
-        #: survives ordinary load churn.
+        #: Bumped only on idle<->busy transitions (and hotplug).  The
+        #: mirror's election memo is invalidated per CPU instead
+        #: (``VecState.mark_idle_change``); only introspection reads it.
         self.idle_epoch = LoadEpoch()
         #: Bumped when a cgroup divisor changes (attach/detach), dirtying
         #: per-queue load caches without any runqueue event.
@@ -69,7 +68,7 @@ class Scheduler:
                 cpu_id,
                 self.probe,
                 load_epoch=self.load_epoch,
-                load_cache=self.features.perf_load_cache,
+                load_cache=self.features.fastpath,
                 idle_epoch=self.idle_epoch,
                 divisor_epoch=self.divisor_epoch,
                 sanitize=self.features.sanitize_coherence,
@@ -77,23 +76,14 @@ class Scheduler:
             for cpu_id in range(topology.num_cpus)
         ]
         self.domain_builder = DomainBuilder(topology, self.features)
-        #: Persistent array-backed sampling layer (the vectorized core).
-        #: It subsumes the per-pass BalancePass, so it is only built when
-        #: the fast paths it replaces are on; every runqueue gets a
+        #: Persistent struct-of-arrays balance mirror, built on the fast
+        #: path (None on the reference path); every runqueue gets a
         #: write-through hook so mutations mark their mirror slot dirty.
         self.vec: Optional[VecState] = None
-        if (
-            self.features.perf_vectorized
-            and self.features.perf_balance_stats
-            and self.features.perf_load_cache
-        ):
+        if self.features.fastpath:
             self.vec = VecState(self)
             for cpu in self.cpus:
                 cpu.rq.vec = self.vec
-                # The array-backed pick index rides the same gate: the
-                # rbtree stays authoritative, the index makes pick_next
-                # a cached-min probe (argmin on stale-min misses).
-                cpu.rq.pidx = PickIndex(self.vec.ops)
         #: Live tasks by tid.
         self.tasks: Dict[int, Task] = {}
         #: Idle CPUs that received work and need a dispatch.
@@ -109,18 +99,15 @@ class Scheduler:
     def cpu(self, cpu_id: int) -> Cpu:
         return self.cpus[cpu_id]
 
-    def vec_pass(self, now: int) -> Optional[lb.SamplingPass]:
+    def vec_pass(self, now: int) -> Optional[VecState]:
         """The sampling layer for one rebalance pass at ``now``.
 
-        The persistent vectorized mirror when enabled (one instance, so
+        The persistent balance mirror on the fast path (one instance, so
         the synchronized newidle bursts sharing a timestamp hit its
-        memos), else a fresh per-pass :class:`~repro.sched.balance.
-        BalancePass`, else None (the baseline recompute-everything mode).
+        memos), else None (the reference recompute-everything path).
         """
         if self.vec is not None:
             return self.vec.begin(now)
-        if self.features.perf_balance_stats:
-            return lb.BalancePass(self, now)
         return None
 
     def online_cpus(self) -> List[Cpu]:
@@ -327,14 +314,11 @@ class Scheduler:
         idle CPU is kicked as the NOHZ balancer and balances on behalf of
         every idle CPU.
         """
-        if self.vec is not None:
-            self._tick_vec(now)
-            return
         overloaded = False
-        # One stats pass serves every CPU balanced this tick (and the NOHZ
-        # sweep below): they all observe the same timestamp, so per-CPU
-        # samples and folded group stats carry across until a migration
-        # dirties the load epoch.
+        # One mirror pass serves every CPU balanced this tick (and the
+        # NOHZ sweep below): they all observe the same timestamp, so
+        # per-CPU samples and folded group stats carry across until a
+        # migration dirties a member queue.
         bpass = self.vec_pass(now)
         for cpu in self.cpus:
             if not cpu.online:
@@ -352,123 +336,6 @@ class Scheduler:
             self.balance_calls += 1
             lb.periodic_balance(self, cpu.cpu_id, now, bpass=bpass)
         if overloaded and self.features.nohz_idle_balance_enabled:
-            balancer = lb.nohz_kick_target(self)
-            if balancer is not None:
-                lb.nohz_idle_balance(self, balancer, now, bpass=bpass)
-
-    def _tick_vec(self, now: int) -> None:
-        """The tick body, batched over the busy-CPU cohort (vec gate).
-
-        Two phases, digest-identical to the scalar loop above:
-
-        **Gather** walks the busy CPUs once, hoisting each row's
-        accounting inputs (account delta, vruntime, ran, slice operands,
-        leftmost waiting vruntime) into flat arrays and running the
-        vruntime/preempt arithmetic as one ``tick_batch`` kernel call.
-        Rows whose tracker has not exactly converged (``util != 1.0``)
-        fall back to the scalar ``account_runtime`` in-frame -- the
-        cohort-divergence rule.  Hoisting account effects above earlier
-        CPUs' balances is safe because balancing reads only queue loads
-        (value-equal before/after an account at the same timestamp --
-        ``LoadTracker.peek``/``update`` compute the same expression),
-        ``nr_running``, affinity, and *queued* task keys; it never reads
-        the running task's vruntime, tracker stamps, or busy time.
-
-        **Apply** then replays the remaining per-CPU effects in exact
-        scalar order: batch results land, ``update_min_vruntime`` runs at
-        the scalar position (earlier CPUs' balances may have migrated
-        tasks, changing the leftmost), the overloaded flag samples the
-        post-balance queue depth, and the precomputed preempt verdict is
-        honored only if the queue's private mutation counter is unchanged
-        since the gather (else the scalar check reruns on live state).
-        """
-        vec = self.vec
-        assert vec is not None  # routed here only under the vec gate
-        feats = self.features
-        bpass = vec.begin(now)
-        latency = feats.sched_latency_us
-        min_gran = feats.min_granularity_us
-        wakeup_gran = feats.wakeup_granularity_us
-        cohort: List[Tuple[Cpu, Task, int, int, bool]] = []
-        deltas: List[int] = []
-        weights: List[int] = []
-        vrs: List[int] = []
-        rans: List[int] = []
-        nrs: List[int] = []
-        tws: List[int] = []
-        wait_vrs: List[int] = []
-        muts: List[int] = []
-        for cpu in self.cpus:
-            if not cpu.online:
-                continue
-            rq = cpu.rq
-            curr = rq.curr
-            if curr is None:
-                continue  # tickless idle: no tick runs here
-            started = (
-                curr.exec_start_us if curr.exec_start_us is not None else now
-            )
-            ran = now - started
-            delta = now - cpu.last_account_us
-            accounted = delta > 0
-            slot = -1
-            if accounted:
-                # Raw util read is deliberate: testing exact convergence
-                # (util == target), which decay cannot change -- the
-                # batched row reproduces update()'s shortcut bit-for-bit.
-                if curr.tracker.util == 1.0:  # repro: noqa[perf-load-bypass]
-                    # Converged row: the tracker update is a pure
-                    # timestamp re-stamp, so the whole account body is
-                    # batchable integer arithmetic.
-                    slot = len(deltas)
-                    deltas.append(delta)
-                    weights.append(curr.weight)
-                    vrs.append(curr.vruntime)
-                    rans.append(ran)
-                    nrs.append(rq._nr_running)
-                    tws.append(rq._total_weight)
-                    waiting = rq.pick_next()
-                    wait_vrs.append(
-                        -1 if waiting is None else waiting.vruntime
-                    )
-                    muts.append(rq.mutations)
-                else:
-                    # Divergent row (tracker mid-decay): scalar account,
-                    # minus update_min_vruntime, which phase 2 replays
-                    # at the exact scalar position for every row.
-                    cfs.account_runtime(curr, now, delta)
-                    cpu.busy_time_us += delta
-                    cpu.last_account_us = now
-            cohort.append((cpu, curr, ran, slot, accounted))
-        if deltas:
-            new_vrs, preempts = vec.ops.tick_batch(
-                deltas, weights, vrs, rans, nrs, tws, wait_vrs,
-                latency, min_gran, wakeup_gran,
-            )
-        overloaded = False
-        resched = self.pending_resched
-        for cpu, curr, ran, slot, accounted in cohort:
-            rq = cpu.rq
-            if slot >= 0:
-                delta = deltas[slot]
-                curr.vruntime = new_vrs[slot]
-                curr.stats.total_runtime_us += delta
-                curr.tracker.last_update_us = now
-                cpu.busy_time_us += delta
-                cpu.last_account_us = now
-            if accounted:
-                rq.update_min_vruntime()
-            if rq._nr_running >= 2:
-                overloaded = True
-            if slot >= 0 and rq.mutations == muts[slot]:
-                preempt = preempts[slot]
-            else:
-                preempt = cfs.should_preempt_at_tick(feats, rq, curr, ran)
-            if preempt:
-                resched.add(cpu.cpu_id)
-            self.balance_calls += 1
-            lb.periodic_balance(self, cpu.cpu_id, now, bpass=bpass)
-        if overloaded and feats.nohz_idle_balance_enabled:
             balancer = lb.nohz_kick_target(self)
             if balancer is not None:
                 lb.nohz_idle_balance(self, balancer, now, bpass=bpass)

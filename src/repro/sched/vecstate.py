@@ -1,12 +1,10 @@
 """Persistent struct-of-arrays mirror of per-CPU scheduler state.
 
-:class:`VecState` is the vectorized successor of
-:class:`~repro.sched.balance.BalancePass`: instead of rebuilding flat
-sample arrays for every rebalance pass, one scheduler-lifetime instance
-keeps flat (load, nr_running) mirrors -- the loads as the exact objects
-the queues returned (see the object-exactness note in
-:mod:`repro.sched.vec`) -- and keeps them coherent through the existing
-epoch-bump protocol:
+:class:`VecState` is the fast path's balance sampling layer: one
+scheduler-lifetime instance keeps flat (load, nr_running) mirrors -- the
+loads as the exact objects the queues returned (see the object-exactness
+note below) -- and keeps them coherent through the existing epoch-bump
+protocol:
 
 * every load-affecting runqueue mutation calls :meth:`mark_dirty` (wired
   next to the queue's own ``mutations`` bump), which queues the slot for
@@ -17,24 +15,37 @@ epoch-bump protocol:
   the scalar path computes;
 * cgroup divisor bumps drop all load samples, idle-epoch bumps drop the
   designated-balancer memo, hotplug (:meth:`on_topology_change`) drops
-  the interned group/domain index caches -- exactly the invalidation
-  triggers ``BalancePass._refresh`` honors, checked per lookup so
-  mid-pass epoch traffic is observed just like the per-pass layer.
+  the interned group/domain index caches; the divisor epoch is checked
+  per lookup, so mid-pass epoch traffic is observed.
 
 Group folds gather member slots through pre-built gather plans (one per
-interned :class:`~repro.sched.domains.SchedGroup`) and reduce them with
-an in-frame scalar loop below the backend's ``bulk_min`` width, the
-backend kernel at or above it; sums keep the scalar path's sequential
-float-op order (see :mod:`repro.sched.vec` for why), so folded
-:class:`~repro.sched.balance.GroupStats` are bit-identical to the
-uncached fold and schedule digests match across all variants.  A fold
+interned :class:`~repro.sched.domains.SchedGroup`) and reduce them in
+one in-frame loop, so folded :class:`~repro.sched.balance.GroupStats`
+are bit-identical to the reference fold and schedule digests match the
+reference path.  Two disciplines make that hold:
+
+* **Float summation.**  Group *load sums* feed threshold comparisons
+  that decide migrations, so they reproduce the reference fold's
+  sequential left-to-right ``sum()`` bit for bit.  Integer reductions
+  (``nr_running`` sums, min/max queue depths) are exact in any order.
+* **Object exactness.**  Load *values* are mirrored as the exact Python
+  objects ``RunQueue.load(now)`` returned -- never copied into a float
+  buffer.  An idle queue's load is ``sum([]) == 0``, the *int* zero;
+  the schedule digest hashes ints and skips floats, so a mirror that
+  coerced it to ``0.0`` would silently drop the group-metric field from
+  ``BalanceEvent`` records whenever the Group Imbalance fix selects
+  ``min_load``.  The fold's min/max keep the first minimal / maximal
+  *element*, matching the reference fold's tie-breaking.
+
+Per-task utilization decay stays on scalar ``math.exp`` in
+:mod:`repro.sched.load`: the mirror *reads* trackers, never re-derives
+them.  A fold
 is memoized as a flat list of its six reductions keyed ``(now,
 version)``; the :class:`~repro.sched.balance.GroupStats` object is
 materialized from it lazily, only when a caller actually receives the
 group (most folds lose the three-tier selection and are never handed
 out).  Because the instance persists, the synchronized bursts of
-newidle passes that share one timestamp -- which previously each
-rebuilt a fresh ``BalancePass`` -- collapse into memo hits.
+newidle passes that share one timestamp collapse into memo hits.
 
 The vruntime floor and idle flags of the issue's mirror are exposed via
 :meth:`snapshot`; ``min_vruntime`` advances without epoch traffic (by
@@ -47,7 +58,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sched import vec
 from repro.sched.balance import (
     GroupStats,
     _elect_designated,
@@ -73,7 +83,7 @@ _GroupEntry = Tuple["SchedGroup", Tuple[int, ...], int]
 #: Slot 12 is the group's dirty counter at fold time: the counter only
 #: moves when a member slot's mirrored value actually changed, so a
 #: matching count revalidates the fold across timestamps in O(1) (and
-#: the entry is re-stamped in place, like BalancePass's epoch slot).
+#: the entry is re-stamped in place).
 _F_STATS = 9
 _F_DIRTY = 12
 
@@ -119,12 +129,8 @@ class _DomainCache:
 class VecState:
     """Array-backed balance sampling layer (one per scheduler)."""
 
-    #: Lets ``find_busiest_group`` route to the bulk path without an
-    #: isinstance check against this module (BalancePass carries False).
-    vectorized = True
-
     __slots__ = (
-        "sched", "ops", "now", "_n", "_bulk", "_loads", "_nrs", "_dirty",
+        "sched", "now", "_n", "_loads", "_nrs", "_dirty",
         "_dirty_list", "_loads_at", "_version", "_div_ref",
         "_div_epoch", "_gidx", "_gstats", "_designated", "_desig_by_cpu",
         "_domains", "_sanitize", "_use_min", "_scratch_folds",
@@ -133,16 +139,13 @@ class VecState:
 
     def __init__(self, sched: "Scheduler"):
         self.sched = sched
-        self.ops = vec.make_ops(sched.features.vec_backend)
         n = len(sched.cpus)
         self._n = n
-        self._bulk = self.ops.bulk_min
         self.now = -1
         #: Exact load objects as returned by each queue's ``load(now)``
-        #: -- a plain list on every backend, because an idle queue's
-        #: load is the *int* zero and the digest distinguishes int from
-        #: float fields (see the object-exactness note in
-        #: :mod:`repro.sched.vec`).
+        #: -- a plain list, because an idle queue's load is the *int*
+        #: zero and the digest distinguishes int from float fields (see
+        #: the object-exactness note in the module docstring).
         self._loads: List[float] = [0.0] * n
         self._nrs: List[int] = [0] * n
         #: Slots whose queue mutated since their last resample.  The
@@ -260,9 +263,9 @@ class VecState:
         self._gate_tok += 1
 
     def _check_epochs(self) -> None:
-        # Mirrors BalancePass._refresh, re-checked per lookup: divisor
-        # bumps re-weight loads without runqueue events (idle traffic is
-        # handled precisely, per CPU, by mark_idle_change).
+        # Re-checked per lookup: divisor bumps re-weight loads without
+        # runqueue events (idle traffic is handled precisely, per CPU,
+        # by mark_idle_change).
         div = self._div_ref.value
         if div != self._div_epoch:
             self._div_epoch = div
@@ -360,7 +363,7 @@ class VecState:
         self._domains[id(domain)] = cache
         return cache
 
-    # -- the BalancePass interface ----------------------------------------
+    # -- sampling interface ------------------------------------------------
 
     def group_stats(self, group: "SchedGroup") -> Optional[GroupStats]:
         """Memoized bulk fold of one group's statistics at ``now``."""
@@ -373,7 +376,7 @@ class VecState:
                 verify_group_stats(
                     group,
                     stats,
-                    _fold_group_stats(self.sched, group, now, None),
+                    _fold_group_stats(self.sched, group, now),
                 )
             return stats
         if self._loads_at != now or self._dirty_list:
@@ -389,7 +392,7 @@ class VecState:
             verify_group_stats(
                 group,
                 stats,
-                _fold_group_stats(self.sched, group, now, None),
+                _fold_group_stats(self.sched, group, now),
             )
         return stats
 
@@ -400,9 +403,8 @@ class VecState:
         float side, the exact sequential op order and element-object
         results -- of ``_fold_group_stats``; the leading ``0 +`` of the
         builtin ``sum`` is dropped, which is value- *and type*-exact
-        because queue loads are never negative zero.  Narrow groups
-        fold in-frame (one pass, no helper frames); machine-scale ones
-        go through the backend kernel.
+        because queue loads are never negative zero.  The fold runs
+        in-frame (one pass, no helper frames).
         """
         group, cpus, k = entry
         d = self._grp_dirty[id(group)]
@@ -413,8 +415,7 @@ class VecState:
             # an equal count -- taken after the sync brought the mirror
             # current -- proves every input object unchanged and the
             # memoized reductions still exact.  Re-stamp the entry in
-            # place (the BalancePass epoch re-stamp idiom) instead of
-            # refolding.
+            # place instead of refolding.
             if d == prev[_F_DIRTY]:
                 prev[1] = self.now
                 prev[2] = self._version
@@ -429,7 +430,7 @@ class VecState:
                 group, self.now, self._version,
                 v, v, v, nr, nr, nr, None, cpus, 1, d,
             ]
-        elif k < self._bulk:
+        else:
             ls = v
             lmn = v
             lmx = v
@@ -452,14 +453,6 @@ class VecState:
                 elif nr > nmx:
                     nmx = nr
                 j += 1
-            m = [
-                group, self.now, self._version,
-                ls, lmn, lmx, ns, nmn, nmx, None, cpus, k, d,
-            ]
-        else:
-            ls, lmn, lmx, ns, nmn, nmx = self.ops.fold_group(
-                loads, nrs, cpus
-            )
             m = [
                 group, self.now, self._version,
                 ls, lmn, lmx, ns, nmn, nmx, None, cpus, k, d,
@@ -579,13 +572,18 @@ class VecState:
     def balance_due(self, now: int) -> List[int]:
         """CPU ids whose gate expired or is disarmed, ascending.
 
-        One two-array reduction over the deadline and arming-token
-        mirrors -- "which CPUs need balancing now" without touching the
-        CPUs that provably do not.
+        One scan over the deadline and arming-token mirrors -- "which
+        CPUs need balancing now" without touching the CPUs that provably
+        do not.  A gate is live only while its arming token still
+        matches the global flip token; a stale or expired gate means
+        "due".
         """
-        return self.ops.due_cpus(
-            self._gate, self._gate_arm, self._gate_tok, now
-        )
+        gates = self._gate
+        arms = self._gate_arm
+        tok = self._gate_tok
+        return [
+            i for i in range(self._n) if gates[i] <= now or arms[i] != tok
+        ]
 
     # -- bulk busiest-group selection --------------------------------------
 
@@ -787,7 +785,6 @@ class VecState:
         sched = self.sched
         nrs = list(self._nrs)
         return {
-            "backend": self.ops.name,
             "now": self.now,
             "load": [float(v) for v in self._loads],
             "nr_running": nrs,
@@ -804,6 +801,6 @@ class VecState:
 
     def __repr__(self) -> str:
         return (
-            f"VecState(backend={self.ops.name}, cpus={self._n}, "
+            f"VecState(cpus={self._n}, "
             f"now={self.now}us, version={self._version})"
         )

@@ -10,14 +10,12 @@ O(1), and when more than half of the heap is cancelled entries the heap is
 compacted in one pass.  Long NOHZ-heavy runs -- which cancel timer after
 timer -- therefore stop degrading as garbage accumulates.  Compaction only
 reorganizes the heap around the same ``(when, seq)`` total order, so the
-firing sequence is byte-identical with compaction on or off.
+firing sequence is byte-identical with compaction on or off.  The
+simulator turns it on with the fast path (``SchedFeatures.fastpath``).
 
-The vectorized core (``SchedFeatures.with_vectorized``) additionally turns
-on *batched draining*: :meth:`EventLoop.run_until` extracts each
-same-timestamp cohort from the heap at once, applies the lazy-cancel mask
-in one sweep, and dispatches the survivors in one pass -- same ``(when,
-seq)`` order, so traces stay byte-identical (pinned by
-test_batch_order.py).
+Events are drained one at a time.  A callback that cancels a later event
+of its own timestamp stops it from firing, and zero-delay work scheduled
+by a callback runs after every event already queued for that timestamp.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class _Event:
     ``seq`` guarantees the event object is never reached by a compare).
     """
 
-    __slots__ = ("when", "seq", "callback", "cancelled", "fired", "popped", "label")
+    __slots__ = ("when", "seq", "callback", "cancelled", "fired", "label")
 
     def __init__(self, when: int, seq: int, callback: Callable[[], None], label: str):
         self.when = when
@@ -58,11 +56,6 @@ class _Event:
         self.callback = callback
         self.cancelled = False
         self.fired = False
-        #: True once the entry left the heap.  Batched draining extracts a
-        #: whole same-timestamp cohort before firing it, so an event can be
-        #: cancelled while popped-but-unfired; the flag keeps the loop's
-        #: lazy-cancel accounting exact (such a cancel is not heap garbage).
-        self.popped = False
         self.label = label
 
 
@@ -100,15 +93,8 @@ class EventHandle:
 class EventLoop:
     """A discrete-event loop over integer-microsecond virtual time."""
 
-    def __init__(
-        self, start_time: int = 0, compact: bool = True, batch: bool = False
-    ):
+    def __init__(self, start_time: int = 0, compact: bool = True):
         self._now = start_time
-        #: Batched draining: ``run_until`` extracts whole same-timestamp
-        #: cohorts and fires them through one dispatch pass (the heap's
-        #: (when, seq) order is preserved, so firing order -- and every
-        #: trace -- is byte-identical to event-at-a-time draining).
-        self._batch = batch
         self._heap: list = []
         self._seq = itertools.count()
         self._events_fired = 0
@@ -177,10 +163,6 @@ class EventLoop:
         shaped to force one.
         """
         self._live -= 1
-        if event.popped:
-            # Cancelled between batch extraction and firing: the entry is
-            # no longer in the heap, so it is not lazy-delete garbage.
-            return
         self._lazy_cancels += 1
         if (
             self._compact_enabled
@@ -215,62 +197,22 @@ class EventLoop:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         try:
-            if self._batch:
-                self._drain_batched(deadline)
-            else:
-                heap = self._heap
-                while heap and heap[0][0] <= deadline:
-                    event = heapq.heappop(heap)[2]
-                    if event.cancelled:
-                        self._lazy_cancels -= 1
-                        continue
-                    event.fired = True
-                    self._live -= 1
-                    self._now = event.when
-                    self._events_fired += 1
-                    if _TP_CALLBACK.enabled:
-                        _TP_CALLBACK.emit(self._now, label=event.label)
-                    event.callback()
+            heap = self._heap
+            while heap and heap[0][0] <= deadline:
+                event = heapq.heappop(heap)[2]
+                if event.cancelled:
+                    self._lazy_cancels -= 1
+                    continue
+                event.fired = True
+                self._live -= 1
+                self._now = event.when
+                self._events_fired += 1
+                if _TP_CALLBACK.enabled:
+                    _TP_CALLBACK.emit(self._now, label=event.label)
+                event.callback()
             self._now = deadline
         finally:
             self._running = False
-
-    def _drain_batched(self, deadline: int) -> None:
-        """Fire events in same-timestamp cohorts (the vectorized core).
-
-        Heap pops at one timestamp already come out in ``seq`` order, so
-        extracting the whole cohort first and dispatching it in one pass
-        preserves the exact firing order of event-at-a-time draining.
-        The lazy-cancel mask is applied to the cohort in one sweep; a
-        callback cancelling a *later* event of its own cohort is honored
-        by the per-event flag check (with the accounting handled by
-        ``_note_cancel`` via the ``popped`` marker).  Callbacks that
-        schedule new work at the current timestamp are picked up by the
-        outer loop as a follow-on cohort -- their sequence numbers are
-        necessarily higher, so ordering is again identical.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap and heap[0][0] <= deadline:
-            when = heap[0][0]
-            cohort: list = []
-            append = cohort.append
-            while heap and heap[0][0] == when:
-                event = heappop(heap)[2]
-                event.popped = True
-                append(event)
-            live = [e for e in cohort if not e.cancelled]
-            self._lazy_cancels -= len(cohort) - len(live)
-            self._now = when
-            for event in live:
-                if event.cancelled:
-                    continue  # cancelled by an earlier callback this cohort
-                event.fired = True
-                self._live -= 1
-                self._events_fired += 1
-                if _TP_CALLBACK.enabled:
-                    _TP_CALLBACK.emit(when, label=event.label)
-                event.callback()
 
     def run_while(
         self,

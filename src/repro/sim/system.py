@@ -65,10 +65,7 @@ class System:
         # same-seed runs in one process replay byte-identical traces.
         reset_tid_counter()
         resolved = features if features is not None else SchedFeatures()
-        self.loop = EventLoop(
-            compact=resolved.perf_event_compaction,
-            batch=resolved.perf_vectorized,
-        )
+        self.loop = EventLoop(compact=resolved.fastpath)
         if probe is None:
             # A fanout by default, so tools (sanity checker, tracers) can
             # attach and detach mid-run like the paper's on-demand profiler.

@@ -33,11 +33,7 @@ def short_scenario_run(session, duration_us=100_000):
     from repro.experiments.scenarios import build_bug_scenario
 
     with session:
-        scenario = build_bug_scenario(
-            "group-imbalance",
-            "buggy",
-            features_transform=lambda f: f.with_vectorized(),
-        )
+        scenario = build_bug_scenario("group-imbalance", "buggy")
         scenario.run(duration_us)
     return session
 
@@ -46,7 +42,7 @@ def test_clean_soak_has_no_divergences():
     session = short_scenario_run(make_session())
     observed = [s for s in session.stats.values() if s.calls]
     assert observed, "no hot-root window ever opened"
-    # The scalar fallbacks and the vec mirror both ran.
+    # The runqueue memos and the balance mirror both ran.
     assert session.stats["runqueue-load"].calls > 0
     assert session.stats["vec-fold"].calls > 0
     assert session.divergences() == []

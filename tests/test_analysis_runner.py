@@ -305,9 +305,8 @@ def test_self_lint_suppressions_are_exactly_the_declared_ones():
         ("coherence-unbumped-write", "runqueue.py"),
         ("coherence-unbumped-write", "runqueue.py"),
         ("hot-path-alloc", "vecstate.py"),
-        # The two convergence tests (load invariance flag, batched tick
-        # cohort gate) read raw util on purpose: util == target is
-        # decay-invariant, so the bypass cannot observe staleness.
+        # The load invariance flag's convergence test reads raw util on
+        # purpose: util == target is decay-invariant, so the bypass
+        # cannot observe staleness.
         ("perf-load-bypass", "runqueue.py"),
-        ("perf-load-bypass", "scheduler.py"),
     ]

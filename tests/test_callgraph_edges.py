@@ -141,11 +141,13 @@ def real_tree():
 
 def test_interned_sched_group_receivers_resolve():
     table, graph = real_tree()
-    # The balance-pass memos key interned SchedGroup objects by id() and
-    # call through the group parameter; those receiver-typed edges are
-    # what lets the purity rule walk from the memo accessors into
+    # The balance mirror's memos key interned SchedGroup objects by id()
+    # and call through the group parameter; those receiver-typed edges
+    # are what lets the purity rule walk from the memo accessors into
     # SchedGroup's sorted-view helpers.
-    designated = callee_names(graph, "repro.sched.balance.BalancePass.designated_for")
+    designated = callee_names(
+        graph, "repro.sched.vecstate.VecState.designated_for"
+    )
     assert "repro.sched.domains.SchedGroup.sorted_balance_mask" in designated
     fold = callee_names(graph, "repro.sched.balance._fold_group_stats")
     assert "repro.sched.domains.SchedGroup.sorted_cpus" in fold

@@ -190,23 +190,47 @@ def test_timer_churn_workload_forces_one_compaction():
     assert loop.events_fired == 32
 
 
-def test_batched_drain_compacts_identically():
-    # Same churn through the batched (vectorized-core) drain: the
-    # compaction counter and the surviving schedule must agree with the
-    # event-at-a-time loop.
-    def run(batch):
-        loop = EventLoop(batch=batch)
-        fired = []
-        timers = [
-            loop.schedule(500, lambda i=i: fired.append(i))
-            for i in range(96)
-        ]
-        for i, handle in enumerate(timers):
-            if i % 3 != 0:
-                handle.cancel()
-        loop.run_until(1_000)
-        return fired, loop.compactions, loop.events_fired
+# ------------------------------------------- same-timestamp cancel/follow-on
 
-    batched = run(True)
-    assert batched == run(False)
-    assert batched[1] >= 1  # the churn actually forced a compaction
+
+def test_cancel_after_victim_fired_is_noop():
+    # The canceller sits *after* its victim in seq order: the victim has
+    # already fired by the time the cancel lands.
+    loop = EventLoop()
+    fired = []
+    victim = loop.schedule(10, lambda: fired.append("victim"))
+    loop.schedule(10, lambda: victim.cancel())
+    loop.run_until(30)
+    assert fired == ["victim"]
+    assert loop.events_fired == 2
+    assert loop.pending() == 0
+
+
+def test_same_timestamp_cancel_before_victim_fires():
+    # The canceller sits *before* its victim at the same timestamp: the
+    # victim must not fire, and the live accounting must not drift.
+    loop = EventLoop()
+    fired = []
+    holder = {}
+    loop.schedule(10, lambda: holder["victim"].cancel())
+    holder["victim"] = loop.schedule(10, lambda: fired.append("victim"))
+    loop.schedule(10, lambda: fired.append("tail"))
+    loop.run_until(30)
+    assert fired == ["tail"]
+    assert loop.events_fired == 2
+    assert loop.pending() == 0
+
+
+def test_followon_work_at_current_timestamp_runs_after_queued_events():
+    # Zero-delay work scheduled by a callback gets a higher seq than
+    # everything already queued for the timestamp, so it runs last.
+    loop = EventLoop()
+    fired = []
+    loop.schedule(
+        10, lambda: (fired.append("a"), loop.schedule(
+            0, lambda: fired.append("a-child")
+        ))
+    )
+    loop.schedule(10, lambda: fired.append("b"))
+    loop.run_until(30)
+    assert fired == ["a", "b", "a-child"]

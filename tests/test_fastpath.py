@@ -3,7 +3,7 @@
 Every optimization here has a correctness obligation stated in its
 docstring -- the O(1) pending counter must agree with the heap, the
 runqueue load memo must return exactly what a recompute would, the
-balance-pass memos must invalidate on every event that could change
+balance mirror's memos must invalidate on every event that could change
 their answer, and group interning must never outlive a topology rebuild.
 These tests pin each obligation directly; the end-to-end guarantee (same
 schedule with the fast paths on or off) lives in
@@ -12,7 +12,6 @@ schedule with the fast paths on or off) lives in
 
 import pytest
 
-from repro.sched.balance import BalancePass
 from repro.sched.features import SchedFeatures
 from repro.sched.runqueue import RunQueue
 from repro.sched.scheduler import Scheduler
@@ -160,7 +159,7 @@ def test_load_cache_invalidated_by_divisor_epoch():
     assert rq.load_cache_hits == hits
 
 
-# ------------------------------------------------------- balance-pass memos
+# ----------------------------------------------------- balance-mirror memos
 
 
 def make_sched():
@@ -181,7 +180,7 @@ def test_group_stats_memo_hits_within_a_pass():
     add_queued(sched, 0, "t0")
     add_queued(sched, 1, "t1")
     domain = sched.domain_builder.domains_of(0)[-1]
-    bpass = BalancePass(sched, now=1000)
+    bpass = sched.vec_pass(1000)
     group = domain.groups[0]
     first = bpass.group_stats(group)
     assert bpass.group_stats(group) is first
@@ -198,12 +197,12 @@ def test_group_stats_signature_survives_unrelated_churn():
     domain = sched.domain_builder.domains_of(0)[-1]
     node0 = next(g for g in domain.groups if 0 in g.cpus)
     node1 = next(g for g in domain.groups if 0 not in g.cpus)
-    bpass = BalancePass(sched, now=1000)
+    bpass = sched.vec_pass(1000)
     stats0 = bpass.group_stats(node0)
     stats1 = bpass.group_stats(node1)
-    # Churn on node 0 bumps the global load epoch; node 1's fold is still
-    # valid (its members' mutation counts are unchanged) and must be
-    # reused, while node 0's must be refolded.
+    # Churn on node 0 marks cpu 0's mirror slot dirty; node 1's fold is
+    # still valid (no member slot changed) and must be reused, while
+    # node 0's must be refolded.
     sched.cpu(0).rq.enqueue(straggler, 0)
     assert bpass.group_stats(node1) is stats1
     refolded = bpass.group_stats(node0)
@@ -214,24 +213,38 @@ def test_group_stats_signature_survives_unrelated_churn():
 def test_cpu_load_nr_resamples_only_mutated_queues():
     sched = make_sched()
     add_queued(sched, 0, "t0")
-    bpass = BalancePass(sched, now=1000)
-    load0, nr0 = bpass.cpu_load_nr(0)
-    assert nr0 == 1
-    add_queued(sched, 0, "t0b")
-    load0b, nr0b = bpass.cpu_load_nr(0)
-    assert nr0b == 2
-    assert load0b > load0
+    add_queued(sched, 1, "t1")
+    # Registered up front: registration bumps the divisor epoch, which
+    # legitimately drops every sample.  The event under test is the
+    # enqueue alone.
+    straggler = Task("t0b")
+    sched.register_task(straggler)
+    # Each CPU's own bottom-level group folds exactly its one sample.
+    bottom = sched.domain_builder.domains_of(0)[0]
+    own0 = bottom.local_group(0)
+    own1 = bottom.local_group(1)
+    assert own0.sorted_cpus() == (0,) and own1.sorted_cpus() == (1,)
+    bpass = sched.vec_pass(1000)
+    first0 = bpass.group_stats(own0)
+    first1 = bpass.group_stats(own1)
+    assert first0.nr_running == 1
+    sched.cpu(0).rq.enqueue(straggler, 0)
+    again0 = bpass.group_stats(own0)
+    assert again0.nr_running == 2
+    assert again0.avg_load > first0.avg_load
+    # The untouched queue's sample (and fold) is reused as is.
+    assert bpass.group_stats(own1) is first1
 
 
 def test_designated_memo_invalidated_by_idle_transition():
     sched = make_sched()
     domain = sched.domain_builder.domains_of(0)[-1]
     group = domain.local_group(0)
-    bpass = BalancePass(sched, now=1000)
+    bpass = sched.vec_pass(1000)
     # All CPUs idle: the lowest-numbered member wins.
     assert bpass.designated_for(group) == min(group.cpus)
-    # Waking the winner bumps the idle epoch; the election must rerun and
-    # pick the next idle member.
+    # Waking the winner is an idle transition on a mask member; the
+    # election must rerun and pick the next idle member.
     add_queued(sched, min(group.cpus), "waker")
     members = sorted(group.cpus)
     assert bpass.designated_for(group) == members[1]

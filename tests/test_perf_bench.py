@@ -328,6 +328,42 @@ def test_cli_bench_trend(tmp_path, capsys):
     assert main(["bench", "--trend", str(bad)]) == 2
 
 
+def test_trend_renders_committed_rows_of_retired_variants(capsys):
+    # BENCH_sim.json keeps rows measured under the retired ``vec`` and
+    # ``vec-fallback`` variants; the trajectory must still load, render
+    # them, and serve as a digest reference for the two live variants.
+    from pathlib import Path
+
+    from repro.perf import format_trend
+    from repro.perf.bench import VARIANTS
+
+    path = Path(__file__).resolve().parents[1] / "BENCH_sim.json"
+    data = load_trajectory(path)
+    retired = set()
+    for run in data["runs"]:
+        for bench in run["benchmarks"].values():
+            retired.add(bench.get("variant", "fast"))
+            retired.update(bench.get("digests") or {})
+    assert {"vec", "vec-fallback"} <= retired
+    assert set(VARIANTS) == {"baseline", "fast"}
+    text = format_trend(data)
+    offset = text.splitlines()[0].index("variant")
+    shown = {
+        ln[offset:].split()[0]
+        for ln in text.splitlines()[1:] if len(ln) > offset
+    }
+    assert "vec" in shown
+    assert main(["bench", "--trend", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.strip() == text.strip()
+    # Every committed row names one schedule per benchmark: the stored
+    # retired-variant digests all equal the row's primary digest.
+    for run in data["runs"]:
+        for bench in run["benchmarks"].values():
+            for digest in (bench.get("digests") or {}).values():
+                assert digest == bench["digest"]
+
+
 def test_cli_bench_profile_writes_weights_and_comparison(tmp_path, capsys):
     out = tmp_path / "BENCH_prof.json"
     baseline = tmp_path / "COST_baseline.json"

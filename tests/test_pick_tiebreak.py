@@ -1,35 +1,25 @@
-"""Pick-index tie-breaking: equal-vruntime picks in exact rbtree order.
+"""Pick tie-breaking: equal-vruntime picks in exact rbtree order.
 
-The pick index's ordering contract is the rbtree's composite
-``(vruntime, tid)`` insertion key, so equal-vruntime tasks must pick in
-tid order on every path that can answer a pick: the rbtree itself (the
-scalar reference), the cached-min probe, the in-frame scalar argmin
-(below the backend crossover), and both backend ``argmin_pairs``
-kernels.  These tests drain adversarial tie-heavy populations through
-each path and cross-check against the tree; a full traced run then
-proves the whole scheduler picks identically across the scalar and
-vectorized variants, with the replay differ naming the first divergent
-event on failure.  Coherence under requeue / migrate / hotplug rides on
-the sanitizer's per-pick leftmost cross-check.
+The runqueue's tree key is the composite ``(vruntime, tid)``, so
+equal-vruntime tasks must pick in tid order.  These tests drain
+adversarial tie-heavy populations through :class:`RunQueue` and check
+the order against the sorted keys; a full traced run then proves the
+whole scheduler picks identically on the reference and fast paths, with
+the replay differ naming the first divergent event on failure.
 """
 
 import hashlib
 
 import pytest
 
-from repro.sched import vec
-from repro.sched.pickindex import PickIndex
-from repro.sched.rbtree import RBTree
-from repro.sched.runqueue import RunQueue
 from repro.sched.features import SchedFeatures
+from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.slo.replay import diff_events, serialize_buffer
 from repro.topology import two_nodes
 from repro.viz.events import TraceBuffer, TraceProbe
-
-_BACKENDS = ["python"] + (["numpy"] if vec.HAVE_NUMPY else [])
 
 
 def _task(tid):
@@ -46,68 +36,53 @@ def _population(n, ties):
     return tasks
 
 
-def _drain(index, tree):
-    """Pop tasks from both structures in pick order; assert agreement."""
+def _drain(rq):
+    """Take tasks from the queue in pick order."""
     order = []
-    while len(index):
-        picked = index.peek()
-        pair = tree.leftmost()
-        assert pair is not None
-        assert picked is pair[1], (
-            f"index picked tid {picked.tid} vr {picked.vruntime}, "
-            f"tree leftmost tid {pair[1].tid} vr {pair[0][0]}"
-        )
-        order.append(picked)
-        index.remove(picked.tid)
-        tree.remove(pair[0])
-    assert tree.leftmost() is None
+    while rq.nr_queued:
+        picked = rq.pick_next()
+        assert picked is not None
+        assert rq.leftmost_vruntime() == picked.vruntime
+        order.append(rq.take(picked, now=0))
+    assert rq.pick_next() is None
     return order
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("n,ties", [(12, 3), (200, 5), (96, 1)])
-def test_equal_vruntime_drain_matches_rbtree_order(backend, n, ties):
-    # n=12 stays under bulk_min (in-frame scalar argmin); n=200 forces
-    # the backend argmin kernel on the early recomputes; ties=1 makes
-    # every key a tie, so tid alone decides every single pick.
-    ops = vec.make_ops(backend)
-    index = PickIndex(ops)
-    tree = RBTree()
+def test_equal_vruntime_drain_matches_rbtree_order(n, ties):
+    # ties=1 makes every key a tie, so tid alone decides every pick.
+    rq = RunQueue(cpu_id=0, sanitize=True)
     for vr, tid, task in _population(n, ties):
         task.vruntime = vr
-        index.insert(vr, tid, task)
-        tree.insert((vr, tid), task)
-    order = _drain(index, tree)
+        rq.enqueue(task, now=0)
+    order = _drain(rq)
     keys = [(t.vruntime, t.tid) for t in order]
     assert keys == sorted(keys)
     assert len(order) == n
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_stale_cached_min_recompute_preserves_tie_order(backend):
-    # Removing the cached minimum leaves the probe stale; the recompute
-    # must re-break the remaining all-equal keys by tid, both below and
-    # above the crossover.
-    ops = vec.make_ops(backend)
+def test_removing_the_minimum_preserves_tie_order():
+    # Removing the leftmost task must re-break the remaining all-equal
+    # keys by tid, for small and large queues alike.
     for n in (8, 150):
-        index = PickIndex(ops)
+        rq = RunQueue(cpu_id=0)
         tids = [(i * 31) % (n * 3) + 1 for i in range(n)]
         assert len(set(tids)) == n
         for tid in tids:
-            index.insert(5, tid, _task(tid))
+            task = _task(tid)
+            task.vruntime = 5
+            rq.enqueue(task, now=0)
         for expected in sorted(tids):
-            picked = index.peek()
+            picked = rq.pick_next()
             assert picked.tid == expected
-            index.remove(picked.tid)  # invalidates the cached min
-        assert index.peek() is None
+            rq.take(picked, now=0)
+        assert rq.pick_next() is None
 
 
 def test_requeue_moves_tie_position_exactly_like_tree():
-    # A requeue (vruntime change of a queued task) re-sorts both
-    # structures; with the sanitizer on, every pick cross-checks the
-    # index against the tree's leftmost and raises on any drift.
+    # A requeue (vruntime change of a queued task) re-sorts the tree;
+    # with the sanitizer on, every load memo hit is cross-checked too.
     rq = RunQueue(cpu_id=0, sanitize=True)
-    rq.pidx = PickIndex(vec.make_ops("python"))
     tasks = [_task(tid) for tid in (3, 1, 2, 5, 4)]
     for task in tasks:
         task.vruntime = 10
@@ -130,14 +105,9 @@ def test_requeue_moves_tie_position_exactly_like_tree():
     assert drained == [2, 3, 5, 1]
 
 
-def _traced_stream(variant, seed=13):
-    transform = {
-        "fast": lambda f: f.with_fastpath(True),
-        "vec": lambda f: f.with_vectorized(True),
-        "vec-fallback": lambda f: f.with_vectorized(True, backend="python"),
-    }[variant]
-    system = System(two_nodes(4, smt_width=2), transform(SchedFeatures()),
-                    seed=seed)
+def _traced_stream(fastpath, seed=13):
+    features = SchedFeatures().with_fastpath(fastpath)
+    system = System(two_nodes(4, smt_width=2), features, seed=seed)
     buffer = TraceBuffer()
     system.attach_probe(TraceProbe(buffer=buffer, record_load=False))
     from repro.perf.bench import _hog, _sleeper
@@ -158,34 +128,32 @@ def _digest(stream):
 
 
 def test_pick_paths_schedule_identically_across_variants():
-    # The end-to-end tie-order claim: scalar rbtree picks (fast), the
-    # pick index over the numpy kernel (vec), and the pick index over
-    # the pure-python kernel (vec-fallback) must produce byte-identical
-    # trace streams.  On failure the replay differ names the first
-    # divergent event -- the actionable form of "digests differ".
-    reference = _traced_stream("fast")
+    # The end-to-end tie-order claim: the reference path and the fast
+    # path must produce byte-identical trace streams.  On failure the
+    # replay differ names the first divergent event -- the actionable
+    # form of "digests differ".
+    reference = _traced_stream(False)
     assert len(reference) > 0
-    for variant in ("vec", "vec-fallback"):
-        stream = _traced_stream(variant)
-        divergence = diff_events(stream, reference)
-        if divergence is not None:
-            got = stream[divergence] if divergence < len(stream) else None
-            want = (
-                reference[divergence]
-                if divergence < len(reference) else None
-            )
-            pytest.fail(
-                f"{variant}: first divergence at event {divergence}: "
-                f"{variant}={got!r} fast={want!r}"
-            )
-        assert _digest(stream) == _digest(reference)
+    stream = _traced_stream(True)
+    divergence = diff_events(stream, reference)
+    if divergence is not None:
+        got = stream[divergence] if divergence < len(stream) else None
+        want = (
+            reference[divergence] if divergence < len(reference) else None
+        )
+        pytest.fail(
+            f"first divergence at event {divergence}: "
+            f"fast={got!r} baseline={want!r}"
+        )
+    assert _digest(stream) == _digest(reference)
 
 
-def test_pick_index_coherent_under_migration_and_hotplug():
-    # A sanitized vectorized soak with a mid-run hotplug cycle: every
-    # pick cross-checks index-vs-tree, so any coherence break under the
-    # migration drain or the offline/online rebuild raises.
-    features = SchedFeatures().with_vectorized(True).with_sanitizer(True)
+def test_sanitized_soak_survives_migration_and_hotplug():
+    # A sanitized fast-path soak with a mid-run hotplug cycle: every
+    # load memo hit, mirror fold and election is cross-checked against a
+    # recompute, so any coherence break under the migration drain or
+    # the offline/online rebuild raises.
+    features = SchedFeatures().with_sanitizer(True)
     system = System(two_nodes(4, smt_width=2), features, seed=17)
     from repro.perf.bench import _hog, _sleeper
 
@@ -199,15 +167,8 @@ def test_pick_index_coherent_under_migration_and_hotplug():
     system.hotplug_cpu(2, True)
     system.run_for(10 * MS)
     assert system.loop.events_fired > 0
-    # Terminal structural check: every index mirrors its tree exactly.
     for cpu in system.scheduler.cpus:
         rq = cpu.rq
-        assert rq.pidx is not None
-        tree_tids = sorted(t.tid for _, t in rq._tree.items()) \
-            if hasattr(rq._tree, "items") else None
-        if tree_tids is not None:
-            assert sorted(rq.pidx._tids) == tree_tids
-        assert len(rq.pidx) == rq.nr_queued
-        assert rq.pick_next() is (
-            rq._tree.leftmost()[1] if rq.nr_queued else None
-        )
+        assert rq.nr_queued == len(list(rq.queued_tasks()))
+        leftmost = rq._tree.leftmost()
+        assert rq.pick_next() is (leftmost[1] if leftmost else None)

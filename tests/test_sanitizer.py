@@ -11,7 +11,6 @@ and each seeded un-bumped mutation (the exact bug class the static
 import pytest
 
 from repro.experiments.scenarios import build_bug_scenario
-from repro.sched.balance import BalancePass
 from repro.sched.features import SchedFeatures
 from repro.sched.sanitizer import FACTS, CoherenceError
 
@@ -39,8 +38,8 @@ def build(bug, variant="buggy"):
 def test_with_sanitizer_flag():
     f = SchedFeatures().with_fastpath(False).with_sanitizer()
     assert f.sanitize_coherence
-    # Sanitizing checks memo hits, so it forces the fast paths on.
-    assert f.perf_load_cache and f.perf_balance_stats
+    # Sanitizing checks memo hits, so it forces the fast path on.
+    assert f.fastpath
     off = f.with_sanitizer(False)
     assert not off.sanitize_coherence
     assert not SchedFeatures().sanitize_coherence
@@ -122,7 +121,7 @@ def test_trips_on_unbumped_hotplug():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     sched = scenario.system.scheduler
-    bpass = BalancePass(sched, scenario.system.now)
+    bpass = sched.vec_pass(scenario.system.now)
     domains = sched.domain_builder.domains_of(0)
     group = None
     for domain in reversed(domains):
@@ -144,7 +143,7 @@ def test_trips_on_group_stats_drift():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     sched = scenario.system.scheduler
-    bpass = BalancePass(sched, scenario.system.now)
+    bpass = sched.vec_pass(scenario.system.now)
     domains = sched.domain_builder.domains_of(0)
     group = domains[-1].local_group(0)
     bpass.group_stats(group)  # prime the fold memo

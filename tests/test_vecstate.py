@@ -1,29 +1,34 @@
-"""Tests for the vectorized array-backed core (repro.sched.vecstate).
+"""Tests for the struct-of-arrays balance mirror (repro.sched.vecstate).
 
-The end-to-end guarantee -- byte-identical schedule digests across
-baseline / fast / vec / vec-fallback -- lives in the bench harness
-(``repro bench --check-digests``) and test_batch_order.py.  Pinned here
-are the layer's local obligations: the struct-of-arrays mirror must be
-exact against the queues, every invalidation trigger (dirty marks, new
-timestamps, idle transitions, divisor bumps, hotplug) must actually
-drop what it claims to, and both array backends must fold to the exact
-objects the scalar fold produces.
+The end-to-end guarantee -- byte-identical schedule digests on the
+baseline and fast paths -- lives in the bench harness (``repro bench
+--check-digests``) and test_determinism_trace.py.  Pinned here are the
+layer's local obligations: the mirror is built exactly on the fast
+path, it must be exact against the queues, every invalidation trigger
+(dirty marks, new timestamps, idle transitions, divisor bumps, hotplug)
+must actually drop what it claims to, and its folds must produce the
+exact objects the reference fold produces.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.sched import vec
 from repro.sched.balance import _fold_group_stats, find_busiest_group
 from repro.sched.features import SchedFeatures
+from repro.sched.scheduler import Scheduler
 from repro.sched.task import Task
+from repro.sched.vecstate import VecState
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.topology import two_nodes
 
 
-def _vec_system(seed=7, backend="auto"):
-    features = SchedFeatures().with_vectorized(True, backend=backend)
-    system = System(two_nodes(4, smt_width=2), features, seed=seed)
+def _vec_system(seed=7):
+    system = System(two_nodes(4, smt_width=2), SchedFeatures(), seed=seed)
     return system, system.scheduler
 
 
@@ -37,22 +42,42 @@ def _spawn_some(system, n=6):
 # ----------------------------------------------------------- construction
 
 
-def test_vectorized_feature_builds_vecstate_and_batched_loop():
-    system, sched = _vec_system()
-    assert sched.vec is not None
-    assert sched.vec.vectorized is True
-    assert system.loop._batch is True
+def test_default_features_build_vecstate():
+    # The mirror is the default fast path; the reference path has none.
+    _, sched = _vec_system()
+    assert isinstance(sched.vec, VecState)
+    assert sched.vec_pass(0) is sched.vec
     # Every runqueue is wired to the mirror's dirty tracking.
     for cpu in sched.cpus:
         assert cpu.rq.vec is sched.vec
+    reference = Scheduler(
+        two_nodes(4, smt_width=2), SchedFeatures().with_fastpath(False)
+    )
+    assert reference.vec is None
+    assert reference.vec_pass(0) is None
+    assert all(cpu.rq.vec is None for cpu in reference.cpus)
 
 
-def test_backend_selection():
-    _, sched = _vec_system(backend="python")
-    assert sched.vec.ops.name == "python"
-    expected = "numpy" if vec.HAVE_NUMPY else "python"
-    _, auto = _vec_system(backend="auto")
-    assert auto.vec.ops.name == expected
+def test_simulator_imports_leave_numpy_unloaded():
+    # No array library is imported by the simulator or the report
+    # generator: the mirror runs on builtin lists.
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    prog = (
+        "import sys\n"
+        "import repro.sim.system, repro.experiments.reportgen\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", prog],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert out.strip() == "False"
 
 
 # ------------------------------------------------------------ mirror sync
@@ -71,7 +96,6 @@ def test_snapshot_mirror_is_exact_against_queues():
         assert snap["idle"][i] == (cpu.rq.nr_running == 0)
         assert snap["vruntime_floor"][i] == cpu.rq.min_vruntime
         assert snap["online"][i] == cpu.online
-    assert snap["backend"] == sched.vec.ops.name
     assert snap["now"] == now
 
 
@@ -84,7 +108,7 @@ def test_group_folds_match_scalar_fold_exactly():
     for domain in sched.domain_builder.domains_of(0):
         for group in domain.groups:
             got = vstate.group_stats(group)
-            want = _fold_group_stats(sched, group, now, None)
+            want = _fold_group_stats(sched, group, now)
             if want is None:
                 assert got is None
                 continue
@@ -254,35 +278,11 @@ def test_find_busiest_need_local_skips_balanced_materialization():
 
 
 def test_sanitized_vectorized_soak_raises_nothing():
-    # The coherence sanitizer cross-checks every vectorized fold and
+    # The coherence sanitizer cross-checks every mirror fold and
     # election against a from-scratch recompute -- a soak under it is a
     # dense exactness test of the whole mirror protocol.
-    features = (
-        SchedFeatures().with_vectorized(True).with_sanitizer(True)
-    )
+    features = SchedFeatures().with_sanitizer(True)
     system = System(two_nodes(4, smt_width=2), features, seed=11)
     _spawn_some(system)
     system.run_for(30 * MS)
     assert system.loop.events_fired > 0
-
-
-def test_backend_digest_equivalence_quick():
-    # numpy and fallback backends schedule identically (full-size check
-    # lives in the bench gate; this is the cheap in-suite pin).
-    from repro.slo.replay import diff_events, serialize_buffer
-    from repro.viz.events import TraceBuffer, TraceProbe
-
-    def stream(backend):
-        features = SchedFeatures().with_vectorized(True, backend=backend)
-        system = System(two_nodes(4, smt_width=2), features, seed=5)
-        buffer = TraceBuffer()
-        system.attach_probe(TraceProbe(buffer=buffer, record_load=False))
-        _spawn_some(system)
-        system.run_for(25 * MS)
-        return serialize_buffer(buffer)
-
-    python_stream = stream("python")
-    if not vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; auto == python")
-    divergence = diff_events(stream("numpy"), python_stream)
-    assert divergence is None, f"first divergence at event {divergence}"

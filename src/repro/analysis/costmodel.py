@@ -1,10 +1,8 @@
 """Hot-path cost & allocation analyzer.
 
-PR 8's profile of the vectorized core says the remaining wall time is
-scalar CFS pick/enqueue object churn, not balance sampling.  This module
-turns that observation into a *tool*: a whole-program static model, built
-on the PR 4 :class:`~repro.analysis.symbols.SymbolTable` /
-:class:`~repro.analysis.callgraph.CallGraph` and the PR 7
+A whole-program static model, built on the
+:class:`~repro.analysis.symbols.SymbolTable` /
+:class:`~repro.analysis.callgraph.CallGraph` and the
 :class:`~repro.analysis.effects.EffectEngine`, that
 
 * infers every **allocation site** in the scheduler/sim layers -- list,
@@ -12,21 +10,20 @@ on the PR 4 :class:`~repro.analysis.symbols.SymbolTable` /
   expressions, closures, string formatting -- and classifies each by a
   syntactic escape analysis into ``per-call`` (runs on the hot path's
   steady state), ``amortized`` (memo/epoch-guarded: the site runs only
-  on a miss path, behind the same guard idioms the PR 4 coherence rule
+  on a miss path, behind the same guard idioms the coherence rule
   certifies), or ``init-only`` (constructors);
 * infers a **symbolic loop cost** per function over the simulation's
   collection domains (``tasks``, ``cpus``, ``groups``, ``heap``...) by
   resolving loop iterables through the callgraph, composing the costs
   interprocedurally to per-:data:`~repro.analysis.effects.HOT_ROOTS`
   big-O expressions (a worst-case expression and a *steady-state* one
-  that drops memo-guarded contributions);
+  that drops memo-guarded contributions); and
 * certifies each hot root on the ``alloc-free`` < ``amortized`` <
-  ``allocating`` lattice (mirroring PR 7's pure < bounded < escaping)
-  against the declarations in :mod:`repro.sched.allocdecl`; and
-* ranks the **scalar residue** -- functions reachable from the
-  simulation drivers but *not* from the vectorized kernels -- by static
-  cost x bench-profile weight: the work-list for the next
-  vectorization PR.
+  ``allocating`` lattice (mirroring the effect engine's pure < bounded
+  < escaping) against the declarations in :mod:`repro.sched.allocdecl`.
+
+The model bounds hot-root cost; it does not attribute wall time.  Where
+the time goes is measured, per layer, by ``perfbench/run.py --trace 1``.
 
 Escape analysis, precisely
 --------------------------
@@ -50,8 +47,8 @@ mirroring what the runtime tracker (:mod:`repro.analysis.alloctrack`)
 can observe: **boxed arithmetic** (fresh int/float objects, served from
 CPython freelists and far below the tracker's byte threshold) and
 **bare tuple returns** (``return a, b, c`` -- the function's calling
-convention, freelist-served and not churn the vectorized rewrite could
-remove without changing the interface).
+convention, freelist-served and not churn that could be removed
+without changing the interface).
 
 Branches guarded by the coherence sanitizer's flags (``self._sanitize``)
 are excluded entirely, like the coherence rule excludes
@@ -92,20 +89,6 @@ ALLOC_LATTICE: Tuple[str, ...] = ("alloc-free", "amortized", "allocating")
 
 #: Site escape classes.
 ESCAPES: Tuple[str, ...] = ("init-only", "amortized", "per-call")
-
-#: Reference sizes used to scalarize cost polynomials for the residue
-#: ranking (the soak64 bench machine: 64 CPUs, ~64 runnable tasks).
-DOMAIN_SIZES: Dict[str, int] = {
-    "tasks": 64,
-    "cpus": 64,
-    "groups": 8,
-    "domains": 3,
-    "heap": 256,
-    "log(tasks)": 6,
-    "log(heap)": 8,
-    "rec": 16,
-    "n": 8,
-}
 
 #: Sanitizer-mode flags: an ``if`` testing one of these guards a
 #: diagnostic cross-check branch, excluded from the hot-path model.
@@ -188,18 +171,6 @@ _ELEM_DOMAINS: Dict[str, str] = {
     "_Event": "heap",
 }
 
-#: The scalar simulation drivers the residue ranking closes over: the
-#: event dispatch loop and every scheduler entry point it fires.
-SIM_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
-    "sim-dispatch": ("EventLoop", "run_until"),
-    "sim-pick-next": ("Scheduler", "pick_next_task"),
-    "sim-tick": ("Scheduler", "tick"),
-    "sim-wake": ("Scheduler", "wake_task"),
-    "sim-account": ("Scheduler", "account"),
-    "sim-deschedule": ("Scheduler", "deschedule"),
-    "sim-migrate": ("Scheduler", "migrate_task"),
-}
-
 #: A cost polynomial: sorted factor tuple -> coefficient.  The empty
 #: tuple is the constant term; factor multisets are capped at degree 4.
 Poly = Dict[Tuple[str, ...], int]
@@ -235,18 +206,6 @@ def render_poly(poly: Poly) -> str:
     terms = sorted(poly, key=lambda t: (-len(t), t))
     parts = ["*".join(t) if t else "1" for t in terms]
     return "O(" + " + ".join(parts) + ")"
-
-
-def scalarize(poly: Poly, sizes: Optional[Dict[str, int]] = None) -> int:
-    """The polynomial evaluated at the reference domain sizes."""
-    table = sizes if sizes is not None else DOMAIN_SIZES
-    total = 0
-    for factors, coeff in poly.items():
-        value = coeff
-        for factor in factors:
-            value *= table.get(factor, DOMAIN_SIZES["n"])
-        total += value
-    return total
 
 
 def dominated(term: Tuple[str, ...], baseline: Sequence[Sequence[str]]) -> bool:
@@ -1009,59 +968,6 @@ class CostModel:
                 out[label] = fn.qualname
         return out
 
-    # -- scalar residue ----------------------------------------------------
-
-    def residue(
-        self, profile_weights: Optional[Dict[str, float]] = None
-    ) -> List[Dict[str, object]]:
-        """The ranked scalar residue: functions reachable from the sim
-        drivers but not from the vectorized kernels, by static cost x
-        bench-profile weight."""
-        weights = profile_weights or {}
-        sim_quals: List[str] = []
-        for label in sorted(SIM_ROOTS):
-            cls, name = SIM_ROOTS[label]
-            fn = root_function(self.engine, cls, name)
-            if fn is not None:
-                sim_quals.append(fn.qualname)
-        vec_quals = [
-            qual for label, qual in self.hot_roots().items()
-            if label.startswith("vec-")
-        ]
-        sim_closure = self.engine.closure(sim_quals)
-        vec_closure = self.engine.closure(vec_quals)
-        rows: List[Dict[str, object]] = []
-        for qual in sorted(sim_closure - vec_closure):
-            fn = self.engine.table.functions.get(qual)
-            if fn is None or fn.module == _SANITIZER_MODULE or fn.is_init:
-                continue
-            scan = self.scan(qual)
-            if scan is None:
-                continue
-            poly = self.cost(qual)
-            static_cost = scalarize(poly)
-            weight = float(weights.get(qual, 1.0))
-            per_call = sum(
-                1 for s in scan.sites
-                if s.certifiable and s.escape == "per-call"
-            )
-            rows.append({
-                "function": qual,
-                "path": fn.display_path,
-                "line": getattr(fn.node, "lineno", 0),
-                "cost": render_poly(poly),
-                "static_cost": static_cost,
-                "profile_weight": weight,
-                "score": round(static_cost * weight, 3),
-                "per_call_sites": per_call,
-            })
-        rows.sort(
-            key=lambda r: (-float(str(r["score"])), str(r["function"]))
-        )
-        for rank, row in enumerate(rows, 1):
-            row["rank"] = rank
-        return rows
-
 
 def _short_qual(qualname: str) -> str:
     """``module.Class.method`` -> ``Class.method`` (``module.fn`` ->
@@ -1089,24 +995,18 @@ def _poly_terms(poly: Poly) -> List[List[str]]:
 
 def cost_report(
     engine: EffectEngine,
-    baseline: Optional[Dict[str, object]] = None,
     declared: Optional[Dict[str, str]] = None,
 ) -> Dict[str, object]:
     """The machine-readable ``repro lint --cost-report`` document.
 
-    Pure function of the analyzed trees (plus the committed baseline's
-    profile weights): identical under every vec backend and shard count.
+    Pure function of the analyzed trees: identical under every shard
+    count.
     """
     model = CostModel(engine)
     if declared is None:
         from repro.sched.allocdecl import DECLARED_ALLOC
 
         declared = dict(DECLARED_ALLOC)
-    weights: Dict[str, float] = {}
-    if baseline is not None:
-        raw = baseline.get("profile_weights")
-        if isinstance(raw, dict):
-            weights = {str(k): float(v) for k, v in raw.items()}
     roots: Dict[str, object] = {}
     per_call_total = 0
     for label, qual in sorted(model.hot_roots().items()):
@@ -1144,16 +1044,12 @@ def cost_report(
             "boxes": cert.boxes,
             "allocation_sites": sites,
         }
-    residue = model.residue(weights)
     return {
         "version": COST_REPORT_VERSION,
         "tool": "repro-lint/cost-model",
-        "domain_sizes": dict(sorted(DOMAIN_SIZES.items())),
         "roots": roots,
-        "scalar_residue": residue,
         "summary": {
             "roots": len(roots),
             "per_call_sites": per_call_total,
-            "residue_functions": len(residue),
         },
     }

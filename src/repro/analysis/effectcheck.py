@@ -1,12 +1,12 @@
 """Runtime effect sanitizer: declared write summaries vs observed writes.
 
-The static half of this PR (:mod:`repro.analysis.effects`) *declares*
-what every function writes; the ``pure-hot-path`` rule certifies the
-fast-path closure from those declarations.  Like PR 4's coherence
-sanitizer, the declaration is only as good as the analysis that produced
-it -- a write the dataflow pass failed to attribute (an exotic receiver
-expression, a helper the call graph missed) silently punches a hole in
-the vectorization-safety certificate.
+The static half (:mod:`repro.analysis.effects`) *declares* what every
+function writes; the ``pure-hot-path`` rule certifies the fast-path
+closure from those declarations.  Like the coherence sanitizer, the
+declaration is only as good as the analysis that produced it -- a write
+the dataflow pass failed to attribute (an exotic receiver expression, a
+helper the call graph missed) silently punches a hole in that
+certification.
 
 This module is the dynamic cross-check.  An :class:`EffectCheckSession`
 

@@ -1,9 +1,8 @@
 """Interprocedural effect summaries: what each function *does* to the world.
 
-The fast-path work (PR 3) and the parallel orchestrator (PR 5) both rest
-on claims of the form "this function is safe to memoize / batch / run
-anywhere" -- and the ROADMAP's north-star (a vectorized, array-backed
-simulation core) is one giant such claim.  Nothing checked those claims:
+The fast path and the parallel orchestrator both rest on claims of the
+form "this function is safe to memoize / run anywhere".  Nothing
+checked those claims:
 the determinism rules were local and syntactic, and the coherence pass
 (PR 4) only knew about the handful of contract fields.  This module is
 the general engine: over the existing :class:`SymbolTable` /
@@ -23,8 +22,7 @@ Two rules consume the engine: ``determinism-taint``
 (:mod:`repro.analysis.rules.taint`) flows the sources whole-program into
 digest/trace-affecting sinks, and ``pure-hot-path``
 (:mod:`repro.analysis.rules.purity`) certifies the fast-path read
-closure as effect-bounded and emits the vectorization-safety report a
-batched rewrite must consult.  The runtime counterpart
+closure as effect-bounded.  The runtime counterpart
 (:mod:`repro.analysis.effectcheck`) pins these static summaries to
 observed attribute mutations during the four bug demos.
 
@@ -43,12 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph, module_aliases, resolve_call
-from repro.analysis.dataflow import (
-    COUNTER_NAMES,
-    FieldAccess,
-    build_summaries,
-    normalize_counter,
-)
+from repro.analysis.dataflow import FieldAccess, build_summaries
 from repro.analysis.symbols import (
     MUTATOR_METHODS,
     FunctionInfo,
@@ -608,13 +601,13 @@ def _module_level_names(tree: ast.Module) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Hot-path purity classification (consumed by the pure-hot-path rule and
-# the vectorization-safety report).
+# Hot-path purity classification (consumed by the pure-hot-path rule).
 
 #: The fast-path hot loops: every function reachable from these is what
-#: ``SchedFeatures.with_fastpath`` memoizes/batches -- and therefore what
-#: the ROADMAP's vectorized core would transform first.  Labels are
-#: report keys; values locate the root as (class bare name or None, name).
+#: ``SchedFeatures.with_fastpath`` memoizes, so the pure-hot-path,
+#: hot-path-alloc and hot-path-complexity gates all close over them.
+#: Labels are report keys; values locate the root as (class bare name or
+#: None, name).
 HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     "runqueue-load": ("RunQueue", "load"),
     "runqueue-total-weight": ("RunQueue", "total_weight"),
@@ -624,9 +617,8 @@ HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     # The balance mirror's kernels (repro.sched.vecstate): the mirror
     # sync sweep, the group folds, the bulk busiest-group selection,
     # the election memo, and the periodic/NOHZ balance-driver scans over
-    # the per-CPU next-balance deadline array.  Everything they reach must stay
-    # effect-bounded or the certificate is void (the rule fails the
-    # lint).
+    # the per-CPU next-balance deadline array.  Everything they reach
+    # must stay effect-bounded or the pure-hot-path rule fails the lint.
     "vec-sync": ("VecState", "_sync"),
     "vec-group-stats": ("VecState", "group_stats"),
     "vec-fold": ("VecState", "_fold_entry"),
@@ -635,10 +627,6 @@ HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     "vec-balance-gate": ("VecState", "gated"),
     "vec-balance-due": ("VecState", "balance_due"),
 }
-
-#: Classification lattice, weakest to strongest claim.
-CATEGORIES = ("pure", "bounded", "escaping")
-
 
 def root_function(
     engine: EffectEngine, cls: Optional[str], name: str
@@ -663,9 +651,8 @@ def classify_function(
     * ``pure`` -- reads only: no writes, no sources, no globals, no I/O.
     * ``bounded`` -- writes confined to the receiver's own state
       (``self`` fields: memo cells, counters, incremental mirrors) --
-      batching must preserve them but nothing outside the object can
-      observe intermediate states.
-    * ``escaping`` -- anything the vectorized rewrite cannot reorder:
+      nothing outside the object can observe intermediate states.
+    * ``escaping`` -- anything observable outside the receiver:
       foreign-object writes, module-global mutation, nondeterminism
       sources, or I/O.
     """
@@ -712,68 +699,3 @@ def classify_function(
         # Only builtin-receiver writes remained (e.g. a local list).
         return "bounded", []
     return "pure", []
-
-
-def _memo_write_kinds(summary: EffectSummary) -> List[str]:
-    """Human-readable labels for a bounded function's self-writes."""
-    labels: Set[str] = set()
-    for write in summary.self_writes():
-        if write.attr.startswith("_cached"):
-            labels.add("memo-cell")
-        elif normalize_counter(write.attr) in COUNTER_NAMES:
-            labels.add("dirty-counter")
-        else:
-            labels.add(f"self.{write.attr}")
-    return sorted(labels)
-
-
-def vectorization_report(
-    engine: EffectEngine,
-) -> Dict[str, object]:
-    """The machine-readable vectorization-safety certification.
-
-    Walks the callee closure of every :data:`HOT_ROOTS` entry, classifies
-    each member function, and names exactly which functions the batched/
-    batched rewrite may transform (``safe``: pure or bounded) and which
-    have escaping effects (``unsafe``, with reasons).  Functions outside
-    the closure are simply not certified either way.
-    """
-    roots: Dict[str, str] = {}
-    for label in sorted(HOT_ROOTS):
-        cls, name = HOT_ROOTS[label]
-        fn = root_function(engine, cls, name)
-        if fn is not None:
-            roots[label] = fn.qualname
-    members = engine.closure(roots.values())
-    functions: List[Dict[str, object]] = []
-    safe: List[str] = []
-    unsafe: List[str] = []
-    counts = {category: 0 for category in CATEGORIES}
-    for qual in sorted(members):
-        summary = engine.summaries.get(qual)
-        if summary is None:
-            continue
-        category, reasons = classify_function(engine, qual)
-        counts[category] += 1
-        (safe if category != "escaping" else unsafe).append(qual)
-        entry: Dict[str, object] = {
-            "qualname": qual,
-            "path": summary.fn.display_path,
-            "line": getattr(summary.fn.node, "lineno", 0),
-            "category": category,
-            "reads": sorted(f"{c}.{a}" for c, a in summary.reads),
-        }
-        if category == "bounded":
-            entry["self_effects"] = _memo_write_kinds(summary)
-        if reasons:
-            entry["reasons"] = reasons
-        functions.append(entry)
-    return {
-        "version": 1,
-        "tool": "repro-lint/pure-hot-path",
-        "roots": roots,
-        "summary": counts,
-        "safe": safe,
-        "unsafe": unsafe,
-        "functions": functions,
-    }

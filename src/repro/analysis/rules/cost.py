@@ -1,8 +1,6 @@
 """Hot-path allocation & complexity certification.
 
-The dynamic half of PR 8's lesson -- "the residue is scalar object
-churn" -- becomes two static gates over the
-:mod:`~repro.analysis.costmodel` analysis:
+Two static gates over the :mod:`~repro.analysis.costmodel` analysis:
 
 ``hot-path-alloc`` (severity: error)
     A hot root whose declared class (:mod:`repro.sched.allocdecl`) is
@@ -22,9 +20,9 @@ churn" -- becomes two static gates over the
     the steady-state expression are gated; roots absent from the
     baseline are skipped (the drift test pins the baseline itself).
 
-Like the coherence rule, one class emits both finding kinds; like the
-purity rule, it is ``cross_file`` and stashes the analysis document on
-``self.report`` for the runner's ``--cost-report`` writer.
+Like the coherence rule, one class emits both finding kinds.  The rule
+is ``cross_file`` and stashes the analysis document on ``self.report``
+for the runner's ``--cost-report`` writer.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ class HotPathCostRule(Rule):
         engine = EffectEngine(sorted(self._files))
         baseline = load_cost_baseline(self._baseline_path)
         declared = self._declarations()
-        report = cost_report(engine, baseline=baseline, declared=declared)
+        report = cost_report(engine, declared=declared)
         self.report = report
         roots = report["roots"]
         assert isinstance(roots, dict)
@@ -273,21 +271,9 @@ class HotPathCostRule(Rule):
         )
 
 
-def build_cost_baseline(
-    report: Dict[str, object],
-    previous: Optional[Dict[str, object]] = None,
-    weights: Optional[Dict[str, float]] = None,
-) -> Dict[str, object]:
-    """The committable ``COST_baseline.json`` derived from a cost report.
-
-    Terms and classes come from the fresh analysis; ``profile_weights``
-    (harvested from ``repro bench --profile`` runs) are carried over
-    from the previous baseline so re-committing a cost bound never
-    silently discards the profiling evidence behind the residue
-    ranking.  Passing ``weights`` (a fresh harvest, ``repro lint
-    --write-cost-baseline --profile-weights``) replaces the carried
-    evidence instead.
-    """
+def build_cost_baseline(report: Dict[str, object]) -> Dict[str, object]:
+    """The committable ``COST_baseline.json`` derived from a cost report:
+    every root's pinned function, classes and cost terms."""
     roots_in = report.get("roots")
     assert isinstance(roots_in, dict)
     roots_out: Dict[str, object] = {}
@@ -305,16 +291,4 @@ def build_cost_baseline(
             "worst_terms": cost.get("worst_terms"),
             "steady_terms": cost.get("steady_terms"),
         }
-    weights_out: Dict[str, object] = {}
-    if weights is not None:
-        weights_out = {k: weights[k] for k in sorted(weights)}
-    elif previous is not None:
-        raw = previous.get("profile_weights")
-        if isinstance(raw, dict):
-            weights_out = dict(raw)
-    return {
-        "version": report.get("version"),
-        "domain_sizes": report.get("domain_sizes"),
-        "profile_weights": weights_out,
-        "roots": roots_out,
-    }
+    return {"version": report.get("version"), "roots": roots_out}

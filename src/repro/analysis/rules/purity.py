@@ -1,11 +1,8 @@
-"""Vectorization-safety certification for the fast-path read closure.
+"""Effect-boundedness certification for the fast-path read closure.
 
-The ROADMAP's north-star -- a vectorized, array-backed simulation core --
-is exactly the kind of aggressive rewrite the paper warns about: batching
-and reordering the hot loops is only sound if every function they reach
-is *effect-bounded*.  This rule certifies that, statically, today --
-before the rewrite exists -- so the transformation has a machine-checked
-list of what it may touch.
+The fast path memoizes the hot loops' reads; a memo is only sound when
+every function it caches is *effect-bounded* -- nothing it does can be
+observed outside its own receiver.  This rule certifies that statically.
 
 ``pure-hot-path`` (severity: error)
     Every function reachable (via calls and property accesses) from the
@@ -16,35 +13,28 @@ list of what it may touch.
 
     * **pure** (reads only), or
     * **bounded** (writes confined to the receiver's own state: memo
-      cells, dirty counters, incremental mirrors -- state a batched
-      rewrite must preserve but that nothing outside the object can
-      observe mid-flight).
+      cells, dirty counters, incremental mirrors -- state that nothing
+      outside the object can observe mid-flight).
 
     A function with **escaping** effects -- foreign-object writes,
     module-global mutation, nondeterminism sources, I/O -- is reported:
-    batching or reordering its callers would change observable behavior.
+    caching or reordering its callers would change observable behavior.
     One narrow idiom is recognized as bounded rather than escaping:
     ``id(x)`` / ``hash(x)`` used *directly* as a private memo key
     (subscript index or ``.get``/``.pop``/``.setdefault`` argument) --
     the identity value never escapes the lookup, interning keeps it
     stable within a pass, and the memo's values are what flow onward.
 
-The same classification feeds :func:`repro.analysis.effects.`
-``vectorization_report`` -- the machine-readable JSON artifact
-(``repro lint --effects-report``) naming exactly which functions the
-batched rewrite may transform (``safe``) and which it must not
-touch (``unsafe``, with per-line reasons).  After :meth:`finalize` the
-rule instance exposes that report as :attr:`report`, which the runner
-writes to disk; the findings themselves travel in the normal SARIF
-export.  The runtime counterpart (:mod:`repro.analysis.effectcheck`)
-cross-checks the underlying write summaries against observed attribute
-mutations during the bug demos.
+The findings travel in the normal SARIF export.  The runtime
+counterpart (:mod:`repro.analysis.effectcheck`) cross-checks the
+underlying write summaries against observed attribute mutations during
+the bug demos.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.core import FileContext, Finding, Rule
 from repro.analysis.effects import (
@@ -52,7 +42,6 @@ from repro.analysis.effects import (
     HOT_ROOTS,
     classify_function,
     root_function,
-    vectorization_report,
 )
 
 #: How many reasons one finding spells out before eliding the rest.
@@ -65,8 +54,8 @@ class PureHotPathRule(Rule):
     rule_id = "pure-hot-path"
     description = (
         "functions reachable from the with_fastpath hot loops must be "
-        "effect-bounded (pure, or self-writes only) so the vectorized "
-        "core rewrite can batch and reorder them"
+        "effect-bounded (pure, or self-writes only) so memoizing them "
+        "cannot change observable behavior"
     )
     scope: Tuple[str, ...] = ("repro.sched", "repro.sim", "repro.core")
     cross_file = True
@@ -74,9 +63,6 @@ class PureHotPathRule(Rule):
     def __init__(self) -> None:
         self._files: List[Tuple[str, str, ast.Module]] = []
         self._lines: Dict[str, List[str]] = {}
-        #: The vectorization-safety report, populated by finalize() and
-        #: consumed by the runner's ``--effects-report`` writer.
-        self.report: Optional[Dict[str, object]] = None
 
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         self._files.append((ctx.module, ctx.display_path, ctx.tree))
@@ -87,7 +73,6 @@ class PureHotPathRule(Rule):
         if not self._files:
             return
         engine = EffectEngine(self._files)
-        self.report = vectorization_report(engine)
         roots: Dict[str, str] = {}
         for label in sorted(HOT_ROOTS):
             cls, name = HOT_ROOTS[label]
@@ -128,8 +113,8 @@ class PureHotPathRule(Rule):
                 message=(
                     f"{summary.fn.qualname} is reachable from fast-path "
                     f"hot loop(s) [{via}] but has escaping effects: "
-                    f"{detail} -- the vectorized rewrite cannot batch "
-                    "through it; make the effect self-confined or lift "
+                    f"{detail} -- the fast path cannot memoize through "
+                    "it; make the effect self-confined or lift "
                     "it out of the hot closure (suppress with "
                     "'# repro: noqa[pure-hot-path]' only with a comment "
                     "proving the effect is replay-invariant)"

@@ -20,13 +20,11 @@
                            [--utilization-out FILE] [--digests-out FILE]
     python -m repro lint [paths ...] [--format json|text|sarif]
                          [--sarif FILE] [--baseline FILE]
-                         [--effects-report FILE] [--cost-report FILE]
-                         [--write-cost-baseline] [--profile-weights FILE]
+                         [--cost-report FILE] [--write-cost-baseline]
     python -m repro bench [--quick] [--compare] [--only NAME] [-j N]
                           [--variant baseline|fast]
                           [--out BENCH_sim.json] [--check-digests [FILE]]
-                          [--profile] [--cost-baseline FILE]
-                          [--trend [FILE]]
+                          [--profile] [--trend [FILE]]
     python -m repro slo run [--registry PATH] [--scenario NAME] [--scale F]
                             [-j N] [--json FILE]
     python -m repro slo check [--baseline SLO_baseline.json]
@@ -306,10 +304,8 @@ def _cmd_lint(args) -> int:
         write_baseline=args.write_baseline,
         sarif_path=args.sarif,
         jobs=args.jobs,
-        effects_report=args.effects_report,
         cost_report=args.cost_report,
         write_cost_baseline=args.write_cost_baseline,
-        profile_weights_path=args.profile_weights,
     )
 
 
@@ -376,35 +372,20 @@ def _cmd_bench(args) -> int:
         if not mismatches:
             print(f"digests match {args.check_digests}")
     if args.profile:
-        import json
         from pathlib import Path
 
-        from repro.perf import format_profile_comparison, profile_benchmark
+        from repro.perf import profile_benchmark
 
         base = Path(args.out) if args.out else Path("bench")
-        baseline_path = Path(args.cost_baseline)
-        baseline = None
-        if baseline_path.exists():
-            with baseline_path.open() as fh:
-                baseline = json.load(fh)
         for name in names:
             print(f"profiling {name} ...", file=sys.stderr)
-            prof = profile_benchmark(
+            text = profile_benchmark(
                 name, quick=args.quick, jobs=args.jobs,
                 variant=args.variant,
             )
             target = base.with_name(f"{base.stem}.profile.{name}.txt")
-            target.write_text(prof.text)
+            target.write_text(text)
             print(f"wrote profile to {target}")
-            wtarget = base.with_name(f"{base.stem}.profile.{name}.json")
-            with wtarget.open("w") as fh:
-                json.dump(prof.weights, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote profile weights to {wtarget} (commit via repro "
-                  f"lint --write-cost-baseline --profile-weights {wtarget})")
-            if baseline is not None:
-                print(f"--- {name} ({prof.variant}) ---")
-                print(format_profile_comparison(prof.weights, baseline))
     if args.out:
         append_run(args.out, results, label=args.label, jobs=args.jobs)
         print(f"appended run to {args.out}")
@@ -693,28 +674,14 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identical to a serial run",
     )
     p.add_argument(
-        "--effects-report", default=None, metavar="FILE",
-        help="write the vectorization-safety report (the pure-hot-path "
-        "rule's effect classification of the fast-path closure) to FILE",
-    )
-    p.add_argument(
         "--cost-report", default=None, metavar="FILE",
         help="write the hot-path cost & allocation report (per-root "
-        "cost expressions, allocation sites with provenance, ranked "
-        "scalar-residue table) to FILE",
+        "cost expressions and allocation sites with provenance) to FILE",
     )
     p.add_argument(
         "--write-cost-baseline", action="store_true",
-        help="rewrite COST_baseline.json from the fresh analysis "
-        "(committed profile weights are carried over); use when a "
-        "complexity change is intentional and justified in the PR",
-    )
-    p.add_argument(
-        "--profile-weights", default=None, metavar="FILE",
-        help="with --write-cost-baseline: replace the carried-over "
-        "profile weights with the harvested qualname->tottime map FILE "
-        "(written by repro bench --profile as "
-        "<out-stem>.profile.<bench>.json)",
+        help="rewrite COST_baseline.json from the fresh analysis; use "
+        "when a complexity change is intentional and justified",
     )
     p.set_defaults(func=_cmd_lint)
 
@@ -754,15 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--profile", action="store_true",
-        help="rerun each benchmark under cProfile, write the top-20 "
-        "cumulative report and the harvested per-function weights next "
-        "to --out (<out-stem>.profile.<bench>.{txt,json}), and print a "
-        "per-hot-root comparison against the committed baseline weights",
-    )
-    p.add_argument(
-        "--cost-baseline", default="COST_baseline.json", metavar="FILE",
-        help="the committed cost baseline --profile compares harvested "
-        "weights against (default: COST_baseline.json)",
+        help="rerun each benchmark under cProfile and write the top-20 "
+        "cumulative report next to --out "
+        "(<out-stem>.profile.<bench>.txt)",
     )
     p.add_argument(
         "--trend", nargs="?", const="BENCH_sim.json", default=None,

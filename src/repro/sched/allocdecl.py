@@ -14,7 +14,7 @@ on the ``alloc-free`` < ``amortized`` < ``allocating`` lattice (see
     (hit path) is allocation-free.  Certified statically; the runtime
     tracker reports hit/miss allocation counts for these roots but does
     not gate on them, because hit rates are workload-dependent (e.g.
-    ``RunQueue.load`` under the vectorized mirror is *only* invoked on
+    ``RunQueue.load`` under the balance mirror is *only* invoked on
     staleness, so every observed call allocates by design).
 ``allocating``
     Per-call allocation is part of the contract (fold scratch state,
@@ -24,8 +24,14 @@ on the ``alloc-free`` < ``amortized`` < ``allocating`` lattice (see
 
 Declarations are allowed to be conservative, never optimistic: a root
 whose declaration is *stronger* than the inference is a
-``hot-path-alloc`` error.  Every shipped declaration currently matches
-its inference exactly (pinned by ``tests/test_costmodel.py``).
+``hot-path-alloc`` error.  Every shipped declaration matches its
+inference exactly (pinned by ``tests/test_costmodel.py``) except one:
+``vec-find-busiest`` is declared ``amortized`` but infers
+``allocating``.  The per-call ``GroupStats`` that
+``VecState._singleton_stats`` builds on the two-singleton path is
+intentional churn, suppressed inline with ``# repro: noqa[hot-path-alloc]``
+instead of weakening the declaration, and ``repro demo <bug>
+--alloc-check`` observes the root allocating on 49-98% of its calls.
 """
 
 from __future__ import annotations

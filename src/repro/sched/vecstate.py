@@ -186,8 +186,8 @@ class VecState:
         #: ``_F_DIRTY``); counts never decrease, so an equal count at a
         #: later (now, version) proves every input object unchanged and
         #: revalidates the fold in O(1) -- the old per-member
-        #: generation-sum probe paid O(group) per probe, which was the
-        #: top scalar-residue line on soak64.
+        #: generation-sum probe paid O(group) per probe, the largest
+        #: self-time line in a cProfile of soak64.
         self._grp_dirty: Dict[int, int] = {}
         #: Reverse index for the counters: every registered group
         #: containing the slot (built with the gather plans, dropped on
@@ -491,8 +491,8 @@ class VecState:
         # Intentional per-call churn on the two-singleton fast path: the
         # scalar consumer's interface requires a GroupStats, and memoizing
         # a singleton's stats costs more than building them (one object,
-        # no fold).  Retiring the GroupStats bridge entirely is the
-        # residue ranking's next item, not this PR.
+        # no fold).  It is why vec-find-busiest allocates on most calls
+        # despite its amortized declaration (see repro.sched.allocdecl).
         return GroupStats(  # repro: noqa[hot-path-alloc]
             group=entry[0],
             cpus=entry[1],

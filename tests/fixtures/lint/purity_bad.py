@@ -20,6 +20,6 @@ def _tally(tasks):
     for task in tasks:
         total += 1
     # BAD: records into a module-level list -- an escaping effect the
-    # vectorized rewrite cannot batch or reorder through.
+    # fast path cannot memoize through.
     _SAMPLES.append(total)
     return total

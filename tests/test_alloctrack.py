@@ -16,17 +16,10 @@ from repro.analysis.alloctrack import (
     AllocDivergence,
 )
 
-_ENGINE = None
-
-
-def make_session(**kwargs):
-    global _ENGINE
-    if _ENGINE is None:
-        from repro.analysis.effectcheck import installed_files
-        from repro.analysis.effects import EffectEngine
-
-        _ENGINE = EffectEngine(installed_files())
-    return AllocCheckSession(engine=_ENGINE, **kwargs)
+@pytest.fixture
+def make_session(shipped_engine):
+    """Sessions over the shared whole-tree engine (they only read it)."""
+    return lambda **kwargs: AllocCheckSession(engine=shipped_engine, **kwargs)
 
 
 def short_scenario_run(session, duration_us=100_000):
@@ -38,7 +31,7 @@ def short_scenario_run(session, duration_us=100_000):
     return session
 
 
-def test_clean_soak_has_no_divergences():
+def test_clean_soak_has_no_divergences(make_session):
     session = short_scenario_run(make_session())
     observed = [s for s in session.stats.values() if s.calls]
     assert observed, "no hot-root window ever opened"
@@ -50,7 +43,7 @@ def test_clean_soak_has_no_divergences():
     assert "0 divergences" in session.summary()
 
 
-def test_calibration_cancels_hook_self_noise():
+def test_calibration_cancels_hook_self_noise(make_session):
     # The enforced tier's soundness hinges on this: a declared
     # alloc-free root that truly allocates nothing must read zero
     # events even though the profile hook materializes frames inside
@@ -63,7 +56,7 @@ def test_calibration_cancels_hook_self_noise():
     assert stats.events == 0, session.summary()
 
 
-def test_tampered_declaration_is_detected():
+def test_tampered_declaration_is_detected(make_session):
     from repro.sched.allocdecl import DECLARED_ALLOC
 
     # RunQueue.load rebuilds its cache on staleness misses: declaring
@@ -79,7 +72,7 @@ def test_tampered_declaration_is_detected():
     assert "runqueue-load" in str(excinfo.value)
 
 
-def test_install_uninstall_restores_hooks():
+def test_install_uninstall_restores_hooks(make_session):
     session = make_session()
     assert sys.getprofile() is None
     assert not tracemalloc.is_tracing()
@@ -97,7 +90,7 @@ def test_install_uninstall_restores_hooks():
     assert "__calib__" not in session.stats
 
 
-def test_unindexed_frames_open_no_window():
+def test_unindexed_frames_open_no_window(make_session):
     session = make_session()
     with session:
         # This test file is not a hot root: nothing may be billed.

@@ -1,25 +1,19 @@
-"""The effect engine: summaries, purity lattice, vectorization report.
+"""The effect engine: summaries and the purity lattice.
 
 Toy-project tests pin each classification mechanism (sources, global
 writes, bounded memo writes, the id()-as-memo-key exemption); the
 real-tree tests are the acceptance criteria -- the shipped fast-path
-closure certifies with zero escaping members, and the report the CI
-artifact is built from says so in machine-readable form.
+closure certifies with zero escaping members.
 """
 
 import ast
-import json
-from pathlib import Path
 
 from repro.analysis.effects import (
     EffectEngine,
     HOT_ROOTS,
     classify_function,
     root_function,
-    vectorization_report,
 )
-
-REPO = Path(__file__).resolve().parents[1]
 
 TOY = '''
 import random
@@ -135,40 +129,39 @@ def test_transitive_closure_reaches_helpers():
 # ---------------------------------------------------------- real tree
 
 
-def shipped_engine():
-    from repro.analysis.effectcheck import installed_files
-
-    return EffectEngine(installed_files())
-
-
-def test_shipped_hot_roots_all_found():
-    engine = shipped_engine()
+def hot_closure(engine):
+    """Every function reachable from a shipped hot root."""
+    quals = []
     for label in sorted(HOT_ROOTS):
         cls, name = HOT_ROOTS[label]
         fn = root_function(engine, cls, name)
+        if fn is not None:
+            quals.append(fn.qualname)
+    return sorted(engine.closure(quals))
+
+
+def test_shipped_hot_roots_all_found(shipped_engine):
+    for label in sorted(HOT_ROOTS):
+        cls, name = HOT_ROOTS[label]
+        fn = root_function(shipped_engine, cls, name)
         assert fn is not None, f"hot root {label} not found in the tree"
 
 
-def test_shipped_fast_path_closure_certifies():
+def test_shipped_fast_path_closure_certifies(shipped_engine):
     # The acceptance criterion of the pure-hot-path rule: every function
     # reachable from the with_fastpath memo accessors is pure or bounded.
-    engine = shipped_engine()
-    report = vectorization_report(engine)
-    assert report["summary"]["escaping"] == 0, report["unsafe"]
-    assert report["unsafe"] == []
-    assert len(report["safe"]) == len(report["functions"])
-    # The report is the CI artifact: it must be JSON-serializable and
-    # name every hot root it certified from.
-    encoded = json.loads(json.dumps(report))
-    assert set(encoded["roots"]) == set(HOT_ROOTS)
-    assert encoded["version"] >= 1
+    members = hot_closure(shipped_engine)
+    assert members
+    escaping = [
+        qual for qual in members
+        if classify_function(shipped_engine, qual)[0] == "escaping"
+    ]
+    assert escaping == []
 
 
-def test_shipped_report_function_entries_are_complete():
-    engine = shipped_engine()
-    report = vectorization_report(engine)
-    for entry in report["functions"]:
-        assert entry["category"] in ("pure", "bounded", "escaping")
-        assert entry["qualname"]
-        if entry["category"] == "escaping":
-            assert entry["reasons"]
+def test_shipped_report_function_entries_are_complete(shipped_engine):
+    for qual in hot_closure(shipped_engine):
+        category, reasons = classify_function(shipped_engine, qual)
+        assert category in ("pure", "bounded", "escaping")
+        if category == "escaping":
+            assert reasons

@@ -3,8 +3,14 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import run_lint
-from repro.analysis.runner import REPORT_VERSION
+from repro.analysis.runner import (
+    REPORT_VERSION,
+    _finding_from_dict,
+    render_text,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -107,17 +113,20 @@ def test_corrupt_baseline_exits_two(tmp_path):
     )
 
 
-def test_repository_tree_is_lint_clean():
+def test_repository_tree_is_lint_clean(shipped_lint_json):
     """Acceptance: ``repro lint`` runs clean on the shipped source tree.
 
     "Clean" means zero *active* findings; the tree's own deliberate
     ``# repro: noqa[...]`` exemptions (e.g. ``RunQueue.requeue``) are
     reported as inline-suppressed and never fail the run.
     """
-    lines, out = _capture()
-    code = run_lint(paths=[str(SRC / "repro")], out=out)
-    assert code == 0, "\n".join(lines)
-    assert lines[-1].startswith("0 findings")
+    sections = [
+        [_finding_from_dict(f) for f in shipped_lint_json.report[key]]
+        for key in ("findings", "baseline", "noqa")
+    ]
+    text = render_text(*sections)
+    assert shipped_lint_json.code == 0, text
+    assert text.splitlines()[-1].startswith("0 findings")
 
 
 def test_parallel_lint_byte_identical(tmp_path, capsys):
@@ -167,37 +176,6 @@ def test_negative_jobs_rejected(tmp_path):
     assert any("jobs" in line for line in lines)
 
 
-def test_effects_report_written():
-    report_path = REPO / "vectorization-safety.test.json"
-    try:
-        lines, out = _capture()
-        code = run_lint(
-            paths=[str(SRC / "repro")],
-            effects_report=str(report_path),
-            out=out,
-        )
-        assert code == 0, "\n".join(lines)
-        report = json.loads(report_path.read_text())
-        assert report["summary"]["escaping"] == 0
-        assert report["unsafe"] == []
-    finally:
-        if report_path.exists():
-            report_path.unlink()
-
-
-def test_effects_report_requires_certifiable_files(tmp_path):
-    target = tmp_path / "ok.py"
-    target.write_text(CLEAN_SOURCE)
-    lines, out = _capture()
-    code = run_lint(
-        paths=[str(target)],
-        effects_report=str(tmp_path / "report.json"),
-        out=out,
-    )
-    assert code == 2
-    assert any("no vectorization-safety report" in line for line in lines)
-
-
 def test_split_rules_keeps_finalizers_in_parent():
     """Any rule with a finalize() override must run in the parent process.
 
@@ -221,23 +199,11 @@ def test_split_rules_keeps_finalizers_in_parent():
             "HotPathCostRule"} <= names
 
 
-def test_cost_report_written():
-    report_path = REPO / "cost-report.test.json"
-    try:
-        lines, out = _capture()
-        code = run_lint(
-            paths=[str(SRC / "repro")],
-            cost_report=str(report_path),
-            out=out,
-        )
-        assert code == 0, "\n".join(lines)
-        report = json.loads(report_path.read_text())
-        assert report["version"] == 1
-        assert report["summary"]["roots"] > 0
-        assert report["scalar_residue"][0]["rank"] == 1
-    finally:
-        if report_path.exists():
-            report_path.unlink()
+def test_cost_report_written(shipped_lint_json):
+    assert shipped_lint_json.code == 0, "\n".join(shipped_lint_json.lines)
+    report = json.loads(shipped_lint_json.cost_path.read_text())
+    assert report["version"] == 1
+    assert report["summary"]["roots"] > 0
 
 
 def test_cost_report_requires_certifiable_files(tmp_path):
@@ -253,50 +219,40 @@ def test_cost_report_requires_certifiable_files(tmp_path):
     assert any("no cost report" in line for line in lines)
 
 
-def test_parallel_reports_byte_identical(tmp_path):
-    """-j2 must reproduce the serial cost/effects artifacts exactly.
+def test_parallel_reports_byte_identical(tmp_path, shipped_lint_json):
+    """-j2 must reproduce the serial cost artifact exactly.
 
     The cross-file finalizers run once in the parent either way; this
     pins the contract that sharding changes scheduling, never results.
+    The serial side is the shared whole-tree run.
     """
-    targets = [str(SRC / "repro")]
-    serial_cost = tmp_path / "cost-serial.json"
-    serial_fx = tmp_path / "fx-serial.json"
     parallel_cost = tmp_path / "cost-parallel.json"
-    parallel_fx = tmp_path / "fx-parallel.json"
-
-    serial_lines, serial_out = _capture()
-    serial_code = run_lint(
-        paths=targets,
-        cost_report=str(serial_cost),
-        effects_report=str(serial_fx),
-        out=serial_out,
-    )
     parallel_lines, parallel_out = _capture()
     parallel_code = run_lint(
-        paths=targets,
+        paths=[str(SRC / "repro")],
+        fmt="json",
         jobs=2,
         cost_report=str(parallel_cost),
-        effects_report=str(parallel_fx),
         out=parallel_out,
     )
-    assert parallel_code == serial_code == 0
-    assert parallel_lines == serial_lines
-    assert parallel_cost.read_bytes() == serial_cost.read_bytes()
-    assert parallel_fx.read_bytes() == serial_fx.read_bytes()
+    assert parallel_code == shipped_lint_json.code == 0
+    assert parallel_lines == shipped_lint_json.lines
+    assert (
+        parallel_cost.read_bytes() == shipped_lint_json.cost_path.read_bytes()
+    )
 
 
-def test_self_lint_suppressions_are_exactly_the_declared_ones():
+def test_self_lint_suppressions_are_exactly_the_declared_ones(
+    shipped_lint_json,
+):
     """The gate stays honest: every inline noqa in the tree is accounted.
 
     Intentional churn must be suppressed at the site with a
     justification; this test pins the full list so a new suppression
     (or a rule silently going blind) shows up as a diff here.
     """
-    lines, out = _capture()
-    code = run_lint(paths=[str(SRC / "repro")], fmt="json", out=out)
-    assert code == 0
-    report = json.loads("\n".join(lines))
+    assert shipped_lint_json.code == 0
+    report = shipped_lint_json.report
     assert report["findings"] == []
     suppressed = sorted(
         (f["rule"], Path(f["path"]).name) for f in report["noqa"]
@@ -310,3 +266,25 @@ def test_self_lint_suppressions_are_exactly_the_declared_ones():
         # cannot observe staleness.
         ("perf-load-bypass", "runqueue.py"),
     ]
+
+
+def test_planning_outputs_are_retired(tmp_path, capsys):
+    """The cost baseline pins only root bounds, and the retired report
+    and weight options are rejected by the argument parser."""
+    from repro.cli import main
+
+    committed = json.loads((REPO / "COST_baseline.json").read_text())
+    assert set(committed) == {"version", "roots"}
+    # Each command line names a missing target, so an implementation
+    # that still accepted the option would return early instead of
+    # exiting through the parser.
+    missing = str(tmp_path / "missing.py")
+    for argv in (
+        ["lint", missing, "--effects-report", str(tmp_path / "x.json")],
+        ["lint", missing, "--profile-weights", str(tmp_path / "w.json")],
+        ["bench", "--only", "missing", "--cost-baseline", missing],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -2,15 +2,14 @@
 
 Three layers:
 
-* unit tests over the symbolic polynomial algebra (render, scalarize,
-  baseline domination) -- the vocabulary every report field is built from;
+* unit tests over the symbolic polynomial algebra (render, baseline
+  domination) -- the vocabulary every report field is built from;
 * escape-classification tests over small synthetic trees, pinning the
   memo-guard heuristic (pre-guard allocation is per-call, post-guard is
   amortized, ``__init__`` is init-only);
 * real-tree invariants: every shipped hot root's inferred allocation
-  class matches its declaration in ``repro.sched.allocdecl``, the scalar
-  residue ranking names the CFS pick/tick path, and the report is a
-  deterministic pure function of the tree.
+  class matches its declaration in ``repro.sched.allocdecl``, and the
+  report is a deterministic pure function of the tree.
 """
 
 import ast
@@ -21,7 +20,6 @@ from repro.analysis.costmodel import (
     cost_report,
     dominated,
     render_poly,
-    scalarize,
 )
 from repro.analysis.effects import EffectEngine
 from repro.sched.allocdecl import DECLARED_ALLOC
@@ -37,13 +35,6 @@ def test_render_poly_orders_terms_by_degree_then_name():
 
 def test_render_poly_empty_is_constant():
     assert render_poly({}) == "O(1)"
-
-
-def test_scalarize_uses_domain_sizes():
-    # tasks=64, cpus=64 under the default sizes.
-    assert scalarize({("tasks",): 1}) == 64
-    assert scalarize({("cpus", "tasks"): 1, (): 3}) == 64 * 64 + 3
-    assert scalarize({("tasks",): 2}, sizes={"tasks": 10}) == 20
 
 
 def test_dominated_is_multiset_inclusion():
@@ -112,19 +103,19 @@ def test_pre_guard_allocation_is_per_call():
 # ------------------------------------------------------------ real tree
 
 
-def shipped_engine():
+def fresh_engine():
     from repro.analysis.effectcheck import installed_files
 
     return EffectEngine(installed_files())
 
 
-def test_shipped_roots_match_declarations():
+def test_shipped_roots_match_declarations(shipped_engine):
     """Static inference agrees with every shipped allocation declaration.
 
     The one structural exception: vec-find-busiest carries the
     intentional-churn site suppressed inline in vecstate.py.
     """
-    model = CostModel(shipped_engine())
+    model = CostModel(shipped_engine)
     roots = model.hot_roots()
     assert set(roots) == set(DECLARED_ALLOC)
     for label, qual in sorted(roots.items()):
@@ -142,8 +133,8 @@ def test_shipped_roots_match_declarations():
             )
 
 
-def test_shipped_alloc_free_roots_have_no_sites():
-    model = CostModel(shipped_engine())
+def test_shipped_alloc_free_roots_have_no_sites(shipped_engine):
+    model = CostModel(shipped_engine)
     roots = model.hot_roots()
     for label, declared in DECLARED_ALLOC.items():
         if declared != "alloc-free":
@@ -156,31 +147,15 @@ def test_shipped_alloc_free_roots_have_no_sites():
         assert certifiable == [], (label, certifiable)
 
 
-def test_residue_ranking_names_cfs_pick_path():
-    # The acceptance criterion: the scalar-residue table must surface
-    # the CFS tick/pick path as the dominant unvectorized cost.
-    report = cost_report(shipped_engine())
-    by_rank = {row["rank"]: row["function"] for row in
-               report["scalar_residue"]}
-    assert by_rank[1].endswith("Scheduler.tick")
-    quals = set(by_rank.values())
-    assert any(fn.endswith("Scheduler.pick_next_task") for fn in quals)
-    assert any(fn.endswith("EventLoop.run_until") for fn in quals)
-    # The sanitizer and the mirror kernels are residue-excluded (the
-    # scalar entry point VecState.begin legitimately remains: it is the
-    # per-tick sync cost the scheduler pays from the scalar side).
-    assert not any(".sanitizer." in fn for fn in quals)
-    assert not any(fn.endswith("_fold_entry") for fn in quals)
-
-
 def test_cost_report_is_deterministic():
-    a = cost_report(shipped_engine())
-    b = cost_report(shipped_engine())
+    # Two independently built engines, not the shared session one.
+    a = cost_report(fresh_engine())
+    b = cost_report(fresh_engine())
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_cost_report_shape():
-    report = cost_report(shipped_engine())
+def test_cost_report_shape(shipped_engine):
+    report = cost_report(shipped_engine)
     assert report["version"] == 1
     assert report["summary"]["roots"] == len(DECLARED_ALLOC)
     for label, info in report["roots"].items():
@@ -192,7 +167,7 @@ def test_cost_report_shape():
             assert site["chain"], (label, site)  # provenance never empty
 
 
-def test_committed_cost_baseline_matches_fresh_analysis():
+def test_committed_cost_baseline_matches_fresh_analysis(shipped_engine):
     """Drift gate: COST_baseline.json is regenerated, never hand-edited.
 
     Every root's committed cost terms, declared class, and inferred
@@ -211,12 +186,5 @@ def test_committed_cost_baseline_matches_fresh_analysis():
     path = Path(__file__).resolve().parents[1] / "COST_baseline.json"
     committed = load_cost_baseline(str(path))
     assert committed is not None, "COST_baseline.json missing at repo root"
-    fresh = build_cost_baseline(
-        cost_report(shipped_engine(), baseline=committed),
-        previous=committed,
-    )
+    fresh = build_cost_baseline(cost_report(shipped_engine))
     assert fresh == committed
-    # The weights backing the residue ranking were actually harvested.
-    weights = committed["profile_weights"]
-    assert isinstance(weights, dict) and weights
-    assert "repro.sched.scheduler.Scheduler.tick" in weights

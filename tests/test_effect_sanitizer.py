@@ -14,19 +14,10 @@ from repro.analysis.effectcheck import (
     EffectDivergence,
 )
 
-#: The engine build walks and summarizes the whole tree (~seconds);
-#: share one across tests -- sessions only read it.
-_ENGINE = None
-
-
-def make_session():
-    global _ENGINE
-    if _ENGINE is None:
-        from repro.analysis.effectcheck import installed_files
-        from repro.analysis.effects import EffectEngine
-
-        _ENGINE = EffectEngine(installed_files())
-    return EffectCheckSession(engine=_ENGINE)
+@pytest.fixture
+def make_session(shipped_engine):
+    """Sessions over the shared whole-tree engine (they only read it)."""
+    return lambda: EffectCheckSession(engine=shipped_engine)
 
 
 def short_scenario_run(session, duration_us=100_000):
@@ -39,7 +30,7 @@ def short_scenario_run(session, duration_us=100_000):
     return session
 
 
-def test_clean_soak_verifies_writes():
+def test_clean_soak_verifies_writes(make_session):
     session = short_scenario_run(make_session())
     assert session.verified > 0
     assert session.divergences == [], [
@@ -49,7 +40,7 @@ def test_clean_soak_verifies_writes():
     assert "0 divergences" in session.summary()
 
 
-def test_unindexed_frames_are_skipped_not_judged():
+def test_unindexed_frames_are_skipped_not_judged(make_session):
     from repro.sched.runqueue import RunQueue
 
     session = make_session()
@@ -62,7 +53,7 @@ def test_unindexed_frames_are_skipped_not_judged():
     assert session.divergences == []
 
 
-def test_tampered_summary_is_detected():
+def test_tampered_summary_is_detected(make_session):
     session = make_session()
     # Erase RunQueue.__init__'s declared writes: the first constructed
     # runqueue now writes attributes its (tampered) summary never
@@ -79,7 +70,7 @@ def test_tampered_summary_is_detected():
     assert "does not declare that write" in str(excinfo.value)
 
 
-def test_uninstall_restores_classes():
+def test_uninstall_restores_classes(make_session):
     import importlib
 
     originals = {}
@@ -94,7 +85,7 @@ def test_uninstall_restores_classes():
         assert cls.__setattr__ is original
 
 
-def test_install_is_idempotent():
+def test_install_is_idempotent(make_session):
     session = make_session()
     session.install()
     patched = {
